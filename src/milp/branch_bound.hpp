@@ -5,10 +5,11 @@
 /// diving depth-first with warm-started dual-simplex node solves. Branching
 /// only changes variable bounds, which preserves dual feasibility of the
 /// parent basis, so each node typically reoptimizes in a handful of pivots.
-/// A root rounding heuristic seeds the incumbent; failing that, a probe dive
-/// (the same pool, stopped at its first incumbent) finds one. This is the
-/// "Solver" box of Figure 1 in the paper (the role CPLEX plays for the
-/// original toolbox).
+/// The branching column is chosen by pseudocosts learned from every solved
+/// node LP and shared by all workers. A root rounding heuristic seeds the
+/// incumbent; failing that, a probe dive (the same pool, stopped at its
+/// first incumbent) finds one. This is the "Solver" box of Figure 1 in the
+/// paper (the role CPLEX plays for the original toolbox).
 #pragma once
 
 #include <atomic>

@@ -702,9 +702,10 @@ SolveStatus SimplexSolver::dual_loop() {
   int degen_streak = 0;
 
   // Reduced costs are maintained incrementally across pivots (same pivot-row
-  // update as the primal loop); full pricing only at entry, after
-  // refactorization, and periodically against drift.
-  price(pert_cost_, d);
+  // update as the primal loop); full pricing only after refactorization and
+  // periodically against drift. At entry `d` already holds the prices
+  // dual_feasible() computed for this basis (compute_basic_values() above
+  // leaves them alone), so they are not priced a second time.
   int prices_stale = 0;
 
   for (;;) {

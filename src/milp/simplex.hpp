@@ -241,8 +241,11 @@ class SimplexSolver {
 
   // --- simplex cores ---
   SolveStatus primal_loop(const std::vector<double>& cost, bool phase_one);
+  /// Dual simplex from the current basis. Expects `scratch_d_` to hold the
+  /// basis's reduced costs against `pert_cost_`, as dual_feasible() leaves it.
   SolveStatus dual_loop();
-  /// True if the current basis satisfies the reduced-cost sign conditions.
+  /// Prices `pert_cost_` into `scratch_d_`; true if the current basis
+  /// satisfies the reduced-cost sign conditions.
   bool dual_feasible();
   void price(const std::vector<double>& cost, std::vector<double>& d) const;
   double current_objective(const std::vector<double>& cost) const;

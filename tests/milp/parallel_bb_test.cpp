@@ -354,6 +354,53 @@ TEST(OneEngineTest, DefaultOptionsRunOneDeterministicWorker) {
   EXPECT_EQ(c.nodes_explored, a.nodes_explored);
 }
 
+// ---------------------------------------------------------------------------
+// Pseudocost branching: learned state, still one deterministic search
+// ---------------------------------------------------------------------------
+
+TEST(PseudocostTest, EpnTinyRepeatsExactlyAtOneThread) {
+  using namespace archex::domains::epn;
+  const auto p = make_problem(tiny_config());
+  const CompiledModel cm = compile(*p);
+  const Model& m = cm.base_model();
+  const Solution a = solve_milp(m);
+  const Solution b = solve_milp(m);
+  ASSERT_TRUE(a.optimal());
+  ASSERT_TRUE(b.optimal());
+  EXPECT_GT(a.metrics.at("milp.branch.pseudocost_updates"), 0.0);
+  EXPECT_EQ(a.nodes_explored, b.nodes_explored);
+  EXPECT_EQ(a.simplex_iterations, b.simplex_iterations);
+  EXPECT_EQ(a.objective, b.objective);
+}
+
+TEST(PseudocostTest, EpnTinyResumeReproducesTheObjective) {
+  // Pseudocosts are not checkpointed: the resumed search relearns them and
+  // may branch differently, but it must reach the same optimum bit-exactly.
+  using namespace archex::domains::epn;
+  const auto p = make_problem(tiny_config());
+  const CompiledModel cm = compile(*p);
+  const Model& m = cm.base_model();
+  const Solution ref = solve_milp(m);
+  ASSERT_TRUE(ref.optimal());
+
+  MilpOptions cut;
+  cut.max_nodes = 100;
+  cut.checkpoint_file = ::testing::TempDir() + "epn_pseudocost_resume.ck";
+  cut.checkpoint_interval_s = 3600.0;  // only the final snapshot
+  const Solution c = solve_milp(m, cut);
+  ASSERT_EQ(c.status, SolveStatus::NodeLimit) << "fixture too easy to interrupt";
+
+  MilpOptions res;
+  res.checkpoint_file = cut.checkpoint_file;
+  res.resume = true;
+  const Solution r = solve_milp(m, res);
+  std::remove(cut.checkpoint_file.c_str());
+  EXPECT_EQ(r.metrics.at("milp.checkpoint.loaded"), 1.0);
+  ASSERT_TRUE(r.optimal());
+  EXPECT_EQ(r.objective, ref.objective);
+  EXPECT_EQ(r.metrics.at("check.certify.ok"), 1.0);
+}
+
 TEST(ParallelBBTest, NodeLimitIsHonored) {
   const Model m = knapsack_fixture(25, 11);
   MilpOptions o;

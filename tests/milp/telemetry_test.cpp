@@ -10,6 +10,8 @@
 #include <set>
 #include <sstream>
 
+#include "arch/compiled_model.hpp"
+#include "domains/epn.hpp"
 #include "milp/branch_bound.hpp"
 #include "milp/simplex.hpp"
 #include "obs/metrics.hpp"
@@ -287,6 +289,40 @@ TEST(TelemetryTest, ExternalRegistryReceivesTheMetrics) {
   const Solution s = solve_milp(knapsack_fixture(12, 1), o);
   ASSERT_TRUE(s.optimal());
   EXPECT_EQ(reg.counter("milp.nodes").value(), s.nodes_explored);
+}
+
+TEST(TelemetryTest, PseudocostCountersTrackBranching) {
+  // EPN tiny branches many fractional columns: every solved child LP is one
+  // pseudocost update, and the first branchings meet unobserved sides.
+  obs::MetricsRegistry reg;
+  MilpOptions o;
+  o.num_threads = 1;
+  o.metrics = &reg;
+  const auto p = domains::epn::make_problem(domains::epn::tiny_config());
+  const Solution s = solve_milp(compile(*p).base_model(), o);
+  ASSERT_TRUE(s.optimal());
+  ASSERT_GT(s.nodes_explored, 1);
+  const double updates = s.metrics.at("milp.branch.pseudocost_updates");
+  const double uninit = s.metrics.at("milp.branch.uninitialized");
+  EXPECT_GT(updates, 0.0);
+  EXPECT_LT(updates, static_cast<double>(s.nodes_explored));  // the root learns nothing
+  EXPECT_GE(uninit, 1.0);
+  EXPECT_LT(uninit, static_cast<double>(s.nodes_explored));
+  const std::string text = obs::prometheus_text(reg);
+  EXPECT_NE(text.find("archex_milp_branch_pseudocost_updates_total"), std::string::npos);
+  EXPECT_NE(text.find("archex_milp_branch_uninitialized_total"), std::string::npos);
+
+  // A root-integral model never branches, so the table is never consulted.
+  Model m;
+  const VarId x = m.add_binary();
+  const VarId y = m.add_binary();
+  m.add_constraint(x + y <= LinExpr(1.0));
+  m.set_objective(2.0 * x + 1.0 * y, ObjectiveSense::Maximize);
+  const Solution r = solve_milp(m);
+  ASSERT_TRUE(r.optimal());
+  EXPECT_EQ(r.nodes_explored, 1);
+  EXPECT_EQ(r.metrics.at("milp.branch.pseudocost_updates"), 0.0);
+  EXPECT_EQ(r.metrics.at("milp.branch.uninitialized"), 0.0);
 }
 
 // ---------------------------------------------------------------------------
