@@ -4,12 +4,13 @@
 /// behind the branch & bound design), and presolve throughput.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <random>
 
 #include "milp/branch_bound.hpp"
 #include "milp/presolve.hpp"
 #include "milp/simplex.hpp"
-#include "obs/span.hpp"
+#include "obs/recorder.hpp"
 
 namespace {
 
@@ -177,22 +178,28 @@ void BM_MilpThreads(benchmark::State& state) {
   // Thread-count sweep of solve_milp on a fixed >10k-node instance. The
   // speedup ratio between threads=1 and threads=N is the headline number;
   // nodes/steals expose the tree inflation and work-redistribution rate.
-  // The second arg toggles the structured event trace: the traced/untraced
-  // pair at equal thread counts measures the telemetry overhead, which must
-  // stay within run-to-run noise (the rings are single-writer, no locks).
+  // The second arg attaches a fresh recorder to every solve: the
+  // traced/untraced pair at equal thread counts measures the telemetry
+  // overhead, which must stay within run-to-run noise (the rings are
+  // single-writer, no locks).
   const Model m = hard_knapsack(50, 42);
   const bool traced = state.range(1) != 0;
   MilpOptions opts;
   opts.num_threads = static_cast<int>(state.range(0));
-  opts.trace = traced;
   std::int64_t nodes = 0, steals = 0, events = 0;
   double cpu = 0.0, refactors = 0.0;
   for (auto _ : state) {
+    std::optional<archex::obs::Recorder> rec;
+    if (traced) rec.emplace();
+    opts.recorder = rec ? &*rec : nullptr;
     Solution s = solve_milp(m, opts);
     nodes = s.nodes_explored;
     steals = s.steals;
     cpu = s.cpu_seconds;
-    events = static_cast<std::int64_t>(s.trace.events.size()) + s.trace.dropped;
+    if (rec) {
+      const archex::obs::Trace trace = rec->trace();
+      events = static_cast<std::int64_t>(trace.records.size()) + trace.dropped;
+    }
     const auto it = s.metrics.find("milp.refactors");
     refactors = it == s.metrics.end() ? 0.0 : it->second;
     benchmark::DoNotOptimize(s.objective);
@@ -217,25 +224,22 @@ BENCHMARK(BM_MilpThreads)
     ->UseRealTime();
 
 void BM_ObsOverhead(benchmark::State& state) {
-  // Span-profiler cost on the BM_LpSolve/1000 instance. Arg 0 solves with
-  // profiling disabled (opts.spans == nullptr — the default every solve
-  // takes); Arg 1 attaches a live SpanBuffer with kernel sampling. The
-  // Arg(0) time must sit within noise of plain BM_LpSolve/1000: disabled
-  // profiling is one null test per ScopedSpan, no clock reads.
+  // Recording cost on the BM_LpSolve/1000 instance. Arg 0 solves with
+  // recording disabled (opts.ring == nullptr — the default every solve
+  // takes); Arg 1 attaches a live ring with kernel sampling. The Arg(0) time
+  // must sit within noise of plain BM_LpSolve/1000: a disabled region is one
+  // null test, no clock reads.
   const Model m = random_lp(1000, 42);
   const bool profiled = state.range(0) != 0;
-  archex::obs::SpanProfiler prof;
+  archex::obs::Recorder rec;
   SimplexOptions opts;
-  if (profiled) opts.spans = prof.main();
+  if (profiled) opts.ring = rec.main();
   std::int64_t spans = 0;
   for (auto _ : state) {
     Solution s = solve_lp_relaxation(m, opts);
     benchmark::DoNotOptimize(s.objective);
   }
-  if (profiled) {
-    const auto rep = prof.collect();
-    spans = static_cast<std::int64_t>(rep.spans.size()) + rep.dropped;
-  }
+  if (profiled) spans = static_cast<std::int64_t>(rec.spans().size()) + rec.dropped();
   state.counters["spans"] = static_cast<double>(spans);
   state.SetLabel(profiled ? "profiled" : "disabled");
 }

@@ -88,12 +88,17 @@ echo "=== observability: traced + certified EPN solve + schema validation ==="
 # certifier finds any residual above tolerance), then check the emitted
 # JSONL against docs/observability.md: unknown event types, missing keys,
 # unsorted timestamps, or a trace without node / incumbent / steal events
-# from >= 2 workers all fail the build. The trace stays under build/ as a
-# CI artifact.
+# from >= 2 workers all fail the build. The same solve also writes the
+# Chrome trace: both exporters read one recorder, so the profile must carry
+# the solver phases and kernel spans of that very run. Both files stay under
+# build/ as CI artifacts.
 build/examples/epn_explorer --write-lp=build/epn_ci_model.lp
 build/examples/milp_solve build/epn_ci_model.lp --threads=4 --certify \
-  --trace-json=build/epn_ci_trace.jsonl --log-interval=5 --timing
+  --trace-json=build/epn_ci_trace.jsonl \
+  --profile-json=build/epn_ci_trace_profile.json --log-interval=5 --timing
 python3 tools/validate_trace.py build/epn_ci_trace.jsonl --min-workers=2
+python3 tools/validate_trace.py --chrome build/epn_ci_trace_profile.json \
+  --require=presolve,root_lp,heuristic,tree,ftran,refactor
 
 echo "=== observability: span profile + per-pattern cost attribution ==="
 # The same model solved with the span profiler attached: the Chrome trace
@@ -208,38 +213,42 @@ echo "=== resilience: checkpoint kill/resume drill ==="
 # Reference: the same single-worker pool-routed search, uninterrupted. Then
 # a second run checkpointing every 50 ms is SIGKILLed mid-search and resumed;
 # the resumed run must land on the identical printed objective (hexfloat
-# serialization keeps the search state bit-exact at num_threads=1).
-rm -f build/epn_ref.ck build/epn_resume.ck
-build/examples/milp_solve build/epn_ci_model.lp --threads=1 \
-  --checkpoint=build/epn_ref.ck --checkpoint-interval=3600 > build/epn_ref.log
-build/examples/milp_solve build/epn_ci_model.lp --threads=1 \
-  --checkpoint=build/epn_resume.ck --checkpoint-interval=0.05 \
-  > build/epn_kill_run.log 2>&1 &
+# serialization keeps the search state bit-exact at num_threads=1). The
+# model is the serve drill's hard knapsack (~1M nodes, ~7 s at one thread on
+# a 4-core Xeon, Release): the EPN model closes in well under the 1 s the
+# drill waits before the kill, so it could never be interrupted mid-search.
+rm -f build/ck_ref.ck build/ck_resume.ck
+python3 tools/gen_knapsack_lp.py 70 3 9 > build/ck_drill.lp
+build/examples/milp_solve build/ck_drill.lp --threads=1 \
+  --checkpoint=build/ck_ref.ck --checkpoint-interval=3600 > build/ck_ref.log
+build/examples/milp_solve build/ck_drill.lp --threads=1 \
+  --checkpoint=build/ck_resume.ck --checkpoint-interval=0.05 \
+  > build/ck_kill_run.log 2>&1 &
 solver_pid=$!
 for _ in $(seq 1 100); do
-  [ -f build/epn_resume.ck ] && break
+  [ -f build/ck_resume.ck ] && break
   sleep 0.1
 done
 sleep 1  # let the search get properly underway before the kill
 kill -9 "$solver_pid" 2> /dev/null || true
 wait "$solver_pid" 2> /dev/null || true
-if [ ! -f build/epn_resume.ck ]; then
+if [ ! -f build/ck_resume.ck ]; then
   echo "FAIL: no checkpoint written before the kill" >&2
   exit 1
 fi
 # The drill is vacuous unless the kill landed mid-search: a finished solve
 # prints its status line, and its final checkpoint has an empty frontier, so
 # the "resume" below would trivially re-report the stored incumbent.
-if grep -q '^status:' build/epn_kill_run.log; then
+if grep -q '^status:' build/ck_kill_run.log; then
   echo "FAIL: kill/resume drill: the solve completed before the kill;" \
-       "no mid-search resume was exercised (see build/epn_kill_run.log)" >&2
+       "no mid-search resume was exercised (see build/ck_kill_run.log)" >&2
   exit 1
 fi
-build/examples/milp_solve build/epn_ci_model.lp --threads=1 \
-  --checkpoint=build/epn_resume.ck --resume > build/epn_resume.log
-grep -q '^resume: checkpoint loaded$' build/epn_resume.log
-ref_obj=$(grep '^objective:' build/epn_ref.log)
-res_obj=$(grep '^objective:' build/epn_resume.log)
+build/examples/milp_solve build/ck_drill.lp --threads=1 \
+  --checkpoint=build/ck_resume.ck --resume > build/ck_resume.log
+grep -q '^resume: checkpoint loaded$' build/ck_resume.log
+ref_obj=$(grep '^objective:' build/ck_ref.log)
+res_obj=$(grep '^objective:' build/ck_resume.log)
 if [ "$ref_obj" != "$res_obj" ] || [ -z "$ref_obj" ]; then
   echo "FAIL: resumed objective '$res_obj' != uninterrupted '$ref_obj'" >&2
   exit 1

@@ -28,13 +28,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "arch/compiled_model.hpp"
 #include "arch/perf_report.hpp"
 #include "domains/epn.hpp"
 #include "milp/budget.hpp"
-#include "obs/span.hpp"
+#include "obs/recorder.hpp"
 
 using namespace archex;
 using namespace archex::domains::epn;
@@ -110,11 +111,12 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Aircraft EPN exploration (" << args.mode << ", " << args.scale
             << " scale) ===\n";
-  // Profiler must outlive the Problem (non-owning pointer); armed only when
-  // the user asked for a trace so the disabled path stays zero-cost.
-  obs::SpanProfiler profiler;
-  obs::SpanProfiler* prof = args.profile_json.empty() ? nullptr : &profiler;
-  auto problem = make_problem(cfg, prof);
+  // The recorder must outlive the Problem (non-owning pointer); built only
+  // when the user asked for a profile so the disabled path stays zero-cost.
+  std::optional<obs::Recorder> recorder;
+  if (!args.profile_json.empty()) recorder.emplace();
+  obs::Recorder* const rec = recorder ? &*recorder : nullptr;
+  auto problem = make_problem(cfg, rec);
   const milp::ModelStats stats = problem->model().stats();
   std::cout << "Spec: " << problem->num_patterns_applied() << " pattern instances\n"
             << "MILP: " << stats.num_vars << " variables, " << stats.num_constraints
@@ -142,15 +144,14 @@ int main(int argc, char** argv) {
   // per-pattern attribution table, even when the solve came back infeasible
   // (the encode/presolve spans are still informative).
   auto write_observability = [&](const milp::Solution& sol) -> bool {
-    if (prof != nullptr) {
+    if (rec != nullptr) {
       std::ofstream out(args.profile_json);
       if (!out) {
         std::cerr << "cannot write " << args.profile_json << "\n";
         return false;
       }
-      prof->write_chrome_trace(out);
-      const auto rep = prof->collect();
-      std::cerr << "profile: " << rep.spans.size() << " spans (" << rep.dropped
+      rec->write_chrome_trace(out);
+      std::cerr << "profile: " << rec->spans().size() << " spans (" << rec->dropped()
                 << " dropped) -> " << args.profile_json << "\n";
     }
     if (args.perf_report) {

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "check/certify.hpp"
@@ -26,7 +27,7 @@
 #include "milp/fault.hpp"
 #include "milp/lp_format.hpp"
 #include "milp/simplex.hpp"
-#include "obs/span.hpp"
+#include "obs/recorder.hpp"
 
 using namespace archex::milp;
 
@@ -165,23 +166,23 @@ int main(int argc, char** argv) {
                 st.num_vars, st.num_binary, st.num_integer, st.num_constraints,
                 st.num_nonzeros);
 
-    // Span profiler for --profile-json: lives on the stack here, read only
-    // after solve_milp's workers have joined.
-    archex::obs::SpanProfiler profiler;
-    const bool profiling = !profile_path.empty();
+    // One recorder feeds both --trace-json and --profile-json: it lives on
+    // the stack here and is read only after solve_milp's workers joined.
+    std::optional<archex::obs::Recorder> recorder;
+    if (!trace_path.empty() || !profile_path.empty()) recorder.emplace();
+    archex::obs::Recorder* const rec = recorder ? &*recorder : nullptr;
 
     Solution sol;
     if (relaxation) {
       SimplexOptions lp_opts;
-      if (profiling) lp_opts.spans = profiler.main();
+      if (rec != nullptr) lp_opts.ring = rec->main();
       sol = solve_lp_relaxation(model, lp_opts);
     } else {
       MilpOptions opts;
-      if (profiling) opts.profiler = &profiler;
+      opts.recorder = rec;
       opts.budget = Budget::of_seconds(time_limit);
       if (max_nodes >= 0) opts.max_nodes = max_nodes;
       opts.num_threads = threads;
-      opts.trace = !trace_path.empty();
       opts.certify = certify;
       if (fault_armed) opts.fault = &fault;
       opts.checkpoint_file = checkpoint_file;
@@ -251,22 +252,20 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: cannot write trace to %s\n", trace_path.c_str());
         return 2;
       }
-      sol.trace.write_jsonl(out);
-      std::fprintf(stderr, "trace: %zu events (%lld dropped) -> %s\n",
-                   sol.trace.events.size(),
-                   static_cast<long long>(sol.trace.dropped), trace_path.c_str());
+      const std::size_t events = rec->trace().write_jsonl(out);
+      std::fprintf(stderr, "trace: %zu events (%lld dropped) -> %s\n", events,
+                   static_cast<long long>(rec->dropped()), trace_path.c_str());
     }
-    if (profiling) {
+    if (!profile_path.empty()) {
       std::ofstream out(profile_path);
       if (!out) {
         std::fprintf(stderr, "error: cannot write profile to %s\n",
                      profile_path.c_str());
         return 2;
       }
-      profiler.write_chrome_trace(out);
-      const auto rep = profiler.collect();
+      rec->write_chrome_trace(out);
       std::fprintf(stderr, "profile: %zu spans (%lld dropped) -> %s\n",
-                   rep.spans.size(), static_cast<long long>(rep.dropped),
+                   rec->spans().size(), static_cast<long long>(rec->dropped()),
                    profile_path.c_str());
     }
     if (cert.checked && !cert.ok()) return 9;

@@ -123,29 +123,20 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
   using Clock = std::chrono::steady_clock;
   IterativeResult result;
 
-  // One monotonic deadline for the whole scheme, not a fresh `time_limit_s`
-  // per iteration: earlier revisions restarted the budget at every re-solve,
-  // so a learning loop with a 30 s limit could legally run for minutes. The
-  // per-call limit is converted to an absolute deadline once, here, and the
-  // per-iteration relative limit is disarmed; a caller-supplied absolute
-  // deadline (serve requests) already spans iterations and wins if tighter.
+  // One monotonic deadline for the whole scheme, not a fresh budget per
+  // iteration: a relative budget restarted at every re-solve would let a
+  // learning loop with a 30 s budget legally run for minutes. The tighter of
+  // `budget` and its deprecated `time_limit_s` alias becomes an absolute
+  // deadline once, here, and both relative knobs are disarmed; a
+  // caller-supplied absolute deadline (serve requests) already spans
+  // iterations and wins if tighter.
   milp::MilpOptions opts = milp_options;
-  if (std::isfinite(opts.time_limit_s)) {
-    const auto now = Clock::now();
-    const double limit_s = std::max(opts.time_limit_s, 0.0);
-    // Same headroom guard as solve_milp's arming: a huge-but-finite limit
-    // (the 1e18 default) would overflow the clock's integer representation,
-    // so anything beyond half the clock's remaining range stays "never".
-    const double headroom_s =
-        std::chrono::duration<double>(Clock::time_point::max() - now).count();
-    if (limit_s < headroom_s * 0.5) {
-      opts.deadline = std::min(
-          opts.deadline,
-          now + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(limit_s)));
-      opts.time_limit_s = std::numeric_limits<double>::infinity();
-    }
-  }
+  opts.deadline = std::min(
+      opts.deadline,
+      milp::Budget::tighter(opts.budget, milp::Budget::of_seconds(opts.time_limit_s))
+          .deadline_from(Clock::now()));
+  opts.budget = milp::Budget::unlimited();
+  opts.time_limit_s = std::numeric_limits<double>::infinity();
 
   for (int iter = 1; iter <= max_iterations; ++iter) {
     const auto t0 = Clock::now();

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/span.hpp"
+#include "obs/recorder.hpp"
 
 namespace archex {
 
@@ -261,17 +261,15 @@ ExplorationResult solve(const CompiledModel& cm, const Scenario& sc,
   res.encode_seconds = 0.0;
 
   milp::MilpOptions opts = options;
-  obs::SpanBuffer* const spans =
-      opts.profiler != nullptr ? opts.profiler->main() : nullptr;
+  obs::Ring* const ring = opts.recorder != nullptr ? opts.recorder->main() : nullptr;
+  auto timer = [&](const char* name) {
+    return opts.metrics != nullptr ? &opts.metrics->timer(name) : nullptr;
+  };
 
   milp::Model instance;
   {
-    obs::ScopedSpan formulate_span(spans,
-                                   obs::span_id(obs::SpanName::Formulate));
-    obs::ScopedTimer formulate_timer(
-        opts.metrics != nullptr ? &opts.metrics->timer("arch.formulate")
-                                : nullptr,
-        &res.formulation_seconds);
+    const obs::Region formulate_region(ring, obs::span_id(obs::SpanName::Formulate),
+                                       timer("arch.formulate"), &res.formulation_seconds);
     instance = cm.instantiate(sc);
     res.stats = instance.stats();
   }
@@ -291,10 +289,8 @@ ExplorationResult solve(const CompiledModel& cm, const Scenario& sc,
   }
 
   {
-    obs::ScopedSpan solve_span(spans, obs::span_id(obs::SpanName::Solve));
-    obs::ScopedTimer solve_timer(
-        opts.metrics != nullptr ? &opts.metrics->timer("arch.solve") : nullptr,
-        &res.solver_seconds);
+    const obs::Region solve_region(ring, obs::span_id(obs::SpanName::Solve),
+                                   timer("arch.solve"), &res.solver_seconds);
     res.solution = milp::solve_milp(instance, opts);
   }
 
@@ -309,11 +305,8 @@ ExplorationResult solve(const CompiledModel& cm, const Scenario& sc,
   }
 
   if (res.solution.has_incumbent) {
-    obs::ScopedSpan extract_span(spans, obs::span_id(obs::SpanName::Extract));
-    obs::ScopedTimer extract_timer(
-        opts.metrics != nullptr ? &opts.metrics->timer("arch.extract")
-                                : nullptr,
-        &res.extract_seconds);
+    const obs::Region extract_region(ring, obs::span_id(obs::SpanName::Extract),
+                                     timer("arch.extract"), &res.extract_seconds);
     res.architecture = cm.extract(res.solution);
   }
   // Pick up the arch-layer timers next to the solver's metrics.

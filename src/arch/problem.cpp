@@ -1,7 +1,6 @@
 #include "arch/problem.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "arch/compiled_model.hpp"
@@ -9,12 +8,12 @@
 
 namespace archex {
 
-Problem::Problem(Library lib, ArchTemplate tmpl, obs::SpanProfiler* profiler)
+Problem::Problem(Library lib, ArchTemplate tmpl, obs::Recorder* recorder)
     : lib_(std::move(lib)), tmpl_(std::move(tmpl)),
-      metrics_(std::make_unique<obs::MetricsRegistry>()), profiler_(profiler) {
-  obs::ScopedSpan encode_span(profiler_ != nullptr ? profiler_->main() : nullptr,
-                              obs::span_id(obs::SpanName::Encode));
-  obs::ScopedTimer encode_timer(&metrics_->timer("arch.encode"), &encode_seconds_);
+      metrics_(std::make_unique<obs::MetricsRegistry>()), recorder_(recorder) {
+  obs::Region encode(recorder_ != nullptr ? recorder_->main() : nullptr,
+                     obs::span_id(obs::SpanName::Encode),
+                     &metrics_->timer("arch.encode"), &encode_seconds_);
   adj_ = AdjacencyMatrix(tmpl_, model_);
   map_ = LibraryMapping(tmpl_, lib_, model_);
 
@@ -73,7 +72,7 @@ Problem::Problem(Library lib, ArchTemplate tmpl, obs::SpanProfiler* profiler)
     }
   }
   label_new_rows("structural");
-  encode_timer.stop();
+  encode.stop();
   pattern_costs_.push_back({"structural", encode_seconds_});
 }
 
@@ -164,15 +163,14 @@ milp::LinExpr Problem::flow_out(const FlowCommodity& f, NodeId v) const {
 
 void Problem::apply(const Pattern& pattern) {
   std::string desc = pattern.describe();
-  // Per-pattern encode span (dynamic name, interned once here — never from a
-  // hot loop) and the always-on wall-clock charge the perf report aggregates.
-  obs::ScopedSpan span(profiler_ != nullptr ? profiler_->main() : nullptr,
-                       profiler_ != nullptr ? profiler_->intern(desc) : 0);
-  const auto t0 = std::chrono::steady_clock::now();
+  // One region per application: the always-on wall-clock charge the perf
+  // report aggregates and, when recording, a span under the pattern's name
+  // (interned once here — never from a hot loop).
+  double secs = 0.0;
+  obs::Region region(recorder_ != nullptr ? recorder_->main() : nullptr,
+                     recorder_ != nullptr ? recorder_->intern(desc) : 0, nullptr, &secs);
   pattern.emit(*this);
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  region.stop();
   patterns_applied_.push_back(desc);
   // Rows emitted during this pattern (minus any flow-coupling rows flow()
   // already claimed) are attributed to the pattern.
@@ -286,9 +284,7 @@ ExplorationResult Problem::solve(const milp::MilpOptions& options) {
   // routed it elsewhere, so encode / solve / extract share one namespace.
   milp::MilpOptions opts = options;
   if (opts.metrics == nullptr) opts.metrics = metrics_.get();
-  if (opts.profiler == nullptr) opts.profiler = profiler_;
-  obs::SpanBuffer* const spans =
-      opts.profiler != nullptr ? opts.profiler->main() : nullptr;
+  if (opts.recorder == nullptr) opts.recorder = recorder_;
 
   // Thin facade over the compiled pipeline (arch/compiled_model.hpp):
   // compile the frozen artifact, then solve the base (empty) scenario. The
@@ -296,10 +292,10 @@ ExplorationResult Problem::solve(const milp::MilpOptions& options) {
   // inspecting model().objective() after solve() keep seeing it.
   double compile_seconds = 0.0;
   CompiledModel cm = [&] {
-    obs::ScopedSpan formulate_span(spans,
-                                   obs::span_id(obs::SpanName::Formulate));
-    obs::ScopedTimer compile_timer(&opts.metrics->timer("arch.compile"),
-                                   &compile_seconds);
+    const obs::Region compile_region(
+        opts.recorder != nullptr ? opts.recorder->main() : nullptr,
+        obs::span_id(obs::SpanName::Formulate), &opts.metrics->timer("arch.compile"),
+        &compile_seconds);
     model_.set_objective(cost_expression(), milp::ObjectiveSense::Minimize);
     return compile(*this);
   }();
@@ -308,7 +304,7 @@ ExplorationResult Problem::solve(const milp::MilpOptions& options) {
   res.encode_seconds = encode_seconds_;
   res.formulation_seconds += compile_seconds;
   if (res.solution.status == milp::SolveStatus::Infeasible && diagnoser_) {
-    obs::ScopedTimer diagnose_timer(&opts.metrics->timer("arch.diagnose"));
+    const obs::Region diagnose(&opts.metrics->timer("arch.diagnose"));
     res.infeasibility_explanation = diagnoser_(*this);
     // Re-snapshot so the diagnose timer lands next to the solver's metrics.
     res.solution.metrics = opts.metrics->snapshot();

@@ -30,7 +30,7 @@
 #include "milp/branch_bound.hpp"
 #include "milp/model.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/recorder.hpp"
 
 namespace archex {
 
@@ -51,12 +51,13 @@ class Problem {
  public:
   /// Builds decision variables and structural constraints. The template and
   /// library are copied: a Problem is self-contained once constructed.
-  /// `profiler` (optional, non-owning, must outlive the Problem) records
-  /// hierarchical spans for the whole pipeline — structural encode, each
-  /// pattern application, and (passed through to the MILP engine by solve())
-  /// the solver phases and simplex kernels. Null disables span profiling.
+  /// `recorder` (optional, non-owning, must outlive the Problem) records
+  /// the whole pipeline — structural encode, each pattern application, and
+  /// (passed through to the MILP engine by solve() unless the caller set
+  /// MilpOptions::recorder) the solver phases, events and simplex kernels.
+  /// Null disables recording.
   explicit Problem(Library lib, ArchTemplate tmpl,
-                   obs::SpanProfiler* profiler = nullptr);
+                   obs::Recorder* recorder = nullptr);
 
   // --- accessors used by patterns -----------------------------------------
   [[nodiscard]] const Library& library() const { return lib_; }
@@ -192,17 +193,12 @@ class Problem {
   /// spans encode + solve + extract. Held by pointer to keep Problem movable.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return *metrics_; }
 
-  /// The span profiler this Problem was built with (null when profiling is
-  /// off). solve() passes it to the MILP engine unless the caller set
-  /// MilpOptions::profiler themselves.
-  [[nodiscard]] obs::SpanProfiler* profiler() const { return profiler_; }
-
   /// One encode-time charge: wall seconds spent emitting under an origin
   /// label ("structural" for the constructor, a pattern's describe() per
   /// apply()). Always recorded — the steady_clock reads are two per pattern
   /// application, negligible next to constraint emission — so the perf
-  /// report (arch/perf_report.hpp) can attribute encode cost even when span
-  /// profiling is off.
+  /// report (arch/perf_report.hpp) can attribute encode cost even when no
+  /// recorder is attached.
   struct PatternCost {
     std::string label;
     double seconds = 0.0;
@@ -234,7 +230,7 @@ class Problem {
   std::vector<std::int32_t> row_origin_;       ///< per row: index into row_labels_
   std::function<std::string(const Problem&)> diagnoser_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
-  obs::SpanProfiler* profiler_ = nullptr;  ///< non-owning; null = spans off
+  obs::Recorder* recorder_ = nullptr;  ///< non-owning; null = recording off
   std::vector<PatternCost> pattern_costs_;
   double encode_seconds_ = 0.0;  ///< structural-constraint build time (ctor)
 };

@@ -178,10 +178,10 @@ void register_epn_patterns() {
 }
 
 std::unique_ptr<Problem> make_problem(const EpnConfig& cfg,
-                                      obs::SpanProfiler* profiler) {
+                                      obs::Recorder* recorder) {
   register_epn_patterns();
   auto p =
-      std::make_unique<Problem>(make_library(cfg), make_template(cfg), profiler);
+      std::make_unique<Problem>(make_library(cfg), make_template(cfg), recorder);
   p->set_functional_flow({kGen, kAc, kRect, kDc, kLoad});
 
   // --- Connectivity requirements ---

@@ -58,10 +58,10 @@ struct EpnConfig {
 [[nodiscard]] ArchTemplate make_template(const EpnConfig& cfg = {});
 
 /// Complete exploration problem with the requirement set applied. Pass a
-/// SpanProfiler (non-owning, must outlive the Problem) to record encode /
-/// per-pattern / solver spans; see obs/span.hpp.
+/// Recorder (non-owning, must outlive the Problem) to record encode /
+/// per-pattern / solver spans and events; see obs/recorder.hpp.
 [[nodiscard]] std::unique_ptr<Problem> make_problem(
-    const EpnConfig& cfg = {}, obs::SpanProfiler* profiler = nullptr);
+    const EpnConfig& cfg = {}, obs::Recorder* recorder = nullptr);
 
 /// Domain pattern (Sec. 4.1): per aircraft side, the generators available to
 /// that side (own side + APUs) must jointly cover the side's load demand:

@@ -21,7 +21,7 @@
 #include "milp/presolve.hpp"
 #include "obs/metrics.hpp"
 #include "obs/node_log.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 
 namespace archex::milp {
 
@@ -58,7 +58,7 @@ double objective_granularity(const Model& m) {
 /// Telemetry context for one run of the numerical-recovery ladder.
 struct RecoverHooks {
   obs::MetricsRegistry* reg;  ///< never null inside solve_milp
-  obs::TraceBuffer* trace;    ///< nullable
+  obs::Ring* ring;           ///< nullable
   std::int64_t node_id;
 };
 
@@ -69,9 +69,9 @@ struct RecoverHooks {
 /// escalate further (quarantine/re-enqueue, then abandon) when both fail.
 SolveStatus run_recovery_ladder(SimplexSolver& lp, const RecoverHooks& h) {
   h.reg->counter("milp.recover.tighten").add();
-  if (h.trace != nullptr) {
-    h.trace->emit(obs::EventType::Recover, h.node_id, 0.0,
-                  static_cast<std::uint8_t>(obs::RecoverRung::Tighten));
+  if (h.ring != nullptr) {
+    h.ring->emit(obs::EventType::Recover, h.node_id, 0.0,
+                 static_cast<std::uint8_t>(obs::RecoverRung::Tighten));
   }
   SolveStatus st = SolveStatus::NumericalError;
   try {
@@ -82,9 +82,9 @@ SolveStatus run_recovery_ladder(SimplexSolver& lp, const RecoverHooks& h) {
   if (st != SolveStatus::NumericalError) return st;
 
   h.reg->counter("milp.recover.cold").add();
-  if (h.trace != nullptr) {
-    h.trace->emit(obs::EventType::Recover, h.node_id, 0.0,
-                  static_cast<std::uint8_t>(obs::RecoverRung::Cold));
+  if (h.ring != nullptr) {
+    h.ring->emit(obs::EventType::Recover, h.node_id, 0.0,
+                 static_cast<std::uint8_t>(obs::RecoverRung::Cold));
   }
   try {
     st = lp.solve_primal();
@@ -447,7 +447,7 @@ class NodePool {
   /// Writes a checkpoint when one is due. Called by workers between nodes;
   /// an atomic exchange elects a single writer, and the snapshot is taken
   /// under the pool lock but written outside it.
-  void maybe_checkpoint(obs::TraceBuffer* trace) {
+  void maybe_checkpoint(obs::Ring* ring) {
     if (ck_file_.empty()) return;
     const std::int64_t now_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -456,7 +456,7 @@ class NodePool {
     if (now_ns < ck_next_ns_.load(std::memory_order_relaxed)) return;
     if (ck_writing_.exchange(true, std::memory_order_acquire)) return;
     if (now_ns >= ck_next_ns_.load(std::memory_order_relaxed)) {
-      write_checkpoint(trace);
+      write_checkpoint(ring);
       ck_next_ns_.store(now_ns + ck_interval_ns_, std::memory_order_relaxed);
     }
     ck_writing_.store(false, std::memory_order_release);
@@ -465,9 +465,9 @@ class NodePool {
   /// Unconditional checkpoint after the workers joined, so interrupted
   /// (node/time-limited) solves resume from their final frontier and
   /// completed solves leave an empty frontier that resumes trivially.
-  void write_final_checkpoint(obs::TraceBuffer* trace) {
+  void write_final_checkpoint(obs::Ring* ring) {
     if (ck_file_.empty()) return;
-    write_checkpoint(trace);
+    write_checkpoint(ring);
   }
 
   /// Emits one node-log line from the pool's current state, and a Bound
@@ -476,7 +476,7 @@ class NodePool {
   /// estimate, because a worker's in-flight LP may already have lifted its
   /// node's bound. Called by whichever worker finds the logger due; the
   /// pool lock makes the snapshot consistent.
-  void log_line(obs::NodeLogger* logger, obs::TraceBuffer* trace) {
+  void log_line(obs::NodeLogger* logger, obs::Ring* ring) {
     obs::NodeLogger::Line line;
     double est = kInf;
     {
@@ -490,8 +490,8 @@ class NodePool {
       for (double b : inflight_bound_) est = std::min(est, b);
       if (est < kInf && est > best_known_bound_ + 1e-9) {
         best_known_bound_ = est;
-        if (trace != nullptr)
-          trace->emit(obs::EventType::Bound, -1, sense_flip_ * est);
+        if (ring != nullptr)
+          ring->emit(obs::EventType::Bound, -1, sense_flip_ * est);
       }
       if (est >= kInf) est = best_known_bound_;
     }
@@ -539,7 +539,7 @@ class NodePool {
     return d;
   }
 
-  void write_checkpoint(obs::TraceBuffer* trace) {
+  void write_checkpoint(obs::Ring* ring) {
     const CheckpointData d = snapshot();
     const bool ok = save_checkpoint(ck_file_, d);
     if (ck_reg_ != nullptr) {
@@ -548,9 +548,9 @@ class NodePool {
       ck_reg_->gauge("milp.checkpoint.frontier")
           .set(static_cast<double>(d.frontier.size()));
     }
-    if (trace != nullptr) {
-      trace->emit(obs::EventType::Checkpoint, -1,
-                  static_cast<double>(d.frontier.size()));
+    if (ring != nullptr) {
+      ring->emit(obs::EventType::Checkpoint, -1,
+                 static_cast<double>(d.frontier.size()));
     }
   }
 
@@ -620,9 +620,9 @@ class NodePool {
 /// Telemetry hooks and limits shared by every worker of a solve.
 struct SearchHooks {
   Clock::time_point deadline;
-  std::vector<obs::TraceBuffer>& buffers;  ///< one per worker; empty = off
-  obs::NodeLogger* logger;                 ///< null when logging is off
-  obs::MetricsRegistry* reg;               ///< never null
+  obs::Recorder* recorder;    ///< null when recording is off
+  obs::NodeLogger* logger;    ///< null when logging is off
+  obs::MetricsRegistry* reg;  ///< never null
 };
 
 /// A pool worker: a SimplexSolver (worker 0 adopts the root solver, peers
@@ -630,12 +630,9 @@ struct SearchHooks {
 class Worker {
  public:
   /// Each worker's SimplexSolver gets a private copy of the LP options with
-  /// its *own* trace and span buffers, keeping every buffer single-writer.
-  static SimplexOptions worker_lp_options(SimplexOptions lp,
-                                          obs::TraceBuffer* trace,
-                                          obs::SpanBuffer* spans) {
-    lp.trace = (trace != nullptr && trace->enabled()) ? trace : nullptr;
-    lp.spans = (spans != nullptr && spans->enabled()) ? spans : nullptr;
+  /// its *own* ring, keeping every ring single-writer.
+  static SimplexOptions worker_lp_options(SimplexOptions lp, obs::Ring* ring) {
+    lp.ring = ring;
     return lp;
   }
 
@@ -645,16 +642,16 @@ class Worker {
   /// so its "root" bounds match the pool's reference frame.
   Worker(int id, NodePool& pool, SimplexSolver* adopt,
          const std::vector<BoundChange>& root_fixes, const SearchHooks& hooks,
-         obs::TraceBuffer* trace, obs::SpanBuffer* spans)
+         obs::Ring* ring)
       : id_(id), opts_(pool.opts()), pool_(pool), deadline_(hooks.deadline),
-        trace_((trace != nullptr && trace->enabled()) ? trace : nullptr),
+        ring_(ring),
         logger_((hooks.logger != nullptr && hooks.logger->enabled()) ? hooks.logger
                                                                      : nullptr),
         reg_(hooks.reg),
         own_lp_(adopt != nullptr
                     ? nullptr
                     : std::make_unique<SimplexSolver>(
-                          pool.model(), worker_lp_options(opts_.lp, trace, spans))),
+                          pool.model(), worker_lp_options(opts_.lp, ring))),
         lp_(adopt != nullptr ? *adopt : *own_lp_) {
     if (own_lp_) {
       for (const BoundChange& f : root_fixes) lp_.set_bounds(f.col, f.lb, f.ub);
@@ -688,15 +685,15 @@ class Worker {
       if (!node) break;
       if (stole_from >= 0) {
         ++steals_;
-        if (trace_ != nullptr) {
-          trace_->emit(obs::EventType::Steal, static_cast<std::int64_t>(node->id),
-                       static_cast<double>(stole_from));
+        if (ring_ != nullptr) {
+          ring_->emit(obs::EventType::Steal, static_cast<std::int64_t>(node->id),
+                      static_cast<double>(stole_from));
         }
       }
       process(*node);
       pool_.done(id_);
-      pool_.maybe_checkpoint(trace_);
-      if (logger_ != nullptr && logger_->due()) pool_.log_line(logger_, trace_);
+      pool_.maybe_checkpoint(ring_);
+      if (logger_ != nullptr && logger_->due()) pool_.log_line(logger_, ring_);
     }
     busy_seconds_ += thread_cpu_seconds() - cpu0;
   }
@@ -738,9 +735,9 @@ class Worker {
   }
 
   void close(std::int64_t node_id, obs::NodeOutcome outcome, double bound) {
-    if (trace_ != nullptr) {
-      trace_->emit(obs::EventType::NodeClose, node_id, bound,
-                   static_cast<std::uint8_t>(outcome));
+    if (ring_ != nullptr) {
+      ring_->emit(obs::EventType::NodeClose, node_id, bound,
+                  static_cast<std::uint8_t>(outcome));
     }
   }
 
@@ -752,8 +749,8 @@ class Worker {
       // tests can exercise steal/termination behaviour under skew.
       std::this_thread::sleep_for(std::chrono::milliseconds(25));
     }
-    if (trace_ != nullptr)
-      trace_->emit(obs::EventType::NodeOpen, nid, flip * node.bound);
+    if (ring_ != nullptr)
+      ring_->emit(obs::EventType::NodeOpen, nid, flip * node.bound);
     if (pool_.stopped()) {
       pool_.keep_for_checkpoint(id_, node);
       close(nid, obs::NodeOutcome::Limit, kNan);
@@ -794,7 +791,7 @@ class Worker {
       st = SolveStatus::NumericalError;  // enter the ladder below
     }
     if (st == SolveStatus::NumericalError) {
-      st = run_recovery_ladder(lp_, {reg_, trace_, nid});
+      st = run_recovery_ladder(lp_, {reg_, ring_, nid});
     }
     if (st == SolveStatus::NumericalError) {
       // Both in-place rungs failed. Quarantine: re-enqueue the node for a
@@ -806,9 +803,9 @@ class Worker {
         retry->basis.reset();  // force a cold start on the next attempt
         retry->retries = node.retries + 1;
         if (reg_ != nullptr) reg_->counter("milp.recover.requeue").add();
-        if (trace_ != nullptr) {
-          trace_->emit(obs::EventType::Recover, nid, 0.0,
-                       static_cast<std::uint8_t>(obs::RecoverRung::Requeue));
+        if (ring_ != nullptr) {
+          ring_->emit(obs::EventType::Recover, nid, 0.0,
+                      static_cast<std::uint8_t>(obs::RecoverRung::Requeue));
         }
         close(nid, obs::NodeOutcome::Requeued, flip * node.bound);
         pool_.push(id_, std::move(retry));
@@ -816,9 +813,9 @@ class Worker {
       }
       pool_.mark_abandoned(node.bound);
       if (reg_ != nullptr) reg_->counter("milp.recover.abandoned").add();
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventType::Recover, nid, 0.0,
-                     static_cast<std::uint8_t>(obs::RecoverRung::Abandon));
+      if (ring_ != nullptr) {
+        ring_->emit(obs::EventType::Recover, nid, 0.0,
+                    static_cast<std::uint8_t>(obs::RecoverRung::Abandon));
       }
       close(nid, obs::NodeOutcome::Abandoned, flip * node.bound);
       return;
@@ -849,8 +846,8 @@ class Worker {
     const std::vector<double> x = lp_.primal_solution();
     const std::int32_t bv = pool_.branch_var(x);
     if (bv < 0) {
-      if (pool_.try_incumbent(x, obj) && trace_ != nullptr) {
-        trace_->emit(obs::EventType::Incumbent, nid, flip * obj);
+      if (pool_.try_incumbent(x, obj) && ring_ != nullptr) {
+        ring_->emit(obs::EventType::Incumbent, nid, flip * obj);
       }
       close(nid, obs::NodeOutcome::Integer, flip * obj);
       return;
@@ -903,7 +900,7 @@ class Worker {
   const MilpOptions& opts_;
   NodePool& pool_;
   const Clock::time_point deadline_;
-  obs::TraceBuffer* trace_;
+  obs::Ring* ring_;
   obs::NodeLogger* logger_;
   obs::MetricsRegistry* reg_;
   std::unique_ptr<SimplexSolver> own_lp_;  ///< null for worker 0
@@ -941,15 +938,11 @@ std::int64_t run_search(NodePool& pool, SimplexSolver& root_lp, int threads,
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
-    obs::TraceBuffer* buf =
-        hooks.buffers.empty() ? nullptr : &hooks.buffers[static_cast<std::size_t>(t)];
-    // Each worker writes its own span buffer (worker 0 is the calling
-    // thread, which is also the profiler's buffer-0 owner — same thread,
-    // single-writer holds).
-    obs::SpanBuffer* spans =
-        pool.opts().profiler != nullptr ? pool.opts().profiler->buffer(t) : nullptr;
+    // Each worker writes its own ring; worker 0 runs on the calling thread,
+    // which owns ring 0.
+    obs::Ring* ring = hooks.recorder != nullptr ? hooks.recorder->ring(t) : nullptr;
     workers.push_back(std::make_unique<Worker>(t, pool, t == 0 ? &root_lp : nullptr,
-                                               root_fixes, hooks, buf, spans));
+                                               root_fixes, hooks, ring));
   }
   workers[0]->run(1);
   std::vector<std::thread> pool_threads;
@@ -993,30 +986,21 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   obs::MetricsRegistry local_registry;
   obs::MetricsRegistry* reg = options.metrics != nullptr ? options.metrics
                                                          : &local_registry;
-  std::vector<obs::TraceBuffer> buffers;
-  if (options.trace) {
-    buffers.resize(static_cast<std::size_t>(threads));
-    for (std::size_t t = 0; t < buffers.size(); ++t) {
-      buffers[t].init(static_cast<std::int32_t>(t), options.trace_capacity, t0);
-    }
-    buffers[0].emit(obs::EventType::SolveStart, -1,
-                    static_cast<double>(threads));
-  }
-  obs::TraceBuffer* root_trace = buffers.empty() ? nullptr : &buffers[0];
-  // Span profiling: buffer 0 is the calling thread's (phases + the root
-  // solver's kernel spans, worker 0 included); peers get their own buffers,
-  // armed here, before any thread spawns.
-  obs::SpanProfiler* const profiler = options.profiler;
-  if (profiler != nullptr) profiler->arm_workers(threads);
-  obs::SpanBuffer* const root_spans =
-      profiler != nullptr ? profiler->buffer(0) : nullptr;
-  obs::NodeLogger logger(options.log_interval, options.log_sink, t0);
-  auto phase_mark = [&](obs::Phase p) {
-    if (root_trace != nullptr) {
-      root_trace->emit(obs::EventType::Phase, -1, 0.0,
-                       static_cast<std::uint8_t>(p));
-    }
+  // Recording: ring 0 is the calling thread's (solve start/end, phases, the
+  // root solver and pool worker 0); peers' rings are armed here, before any
+  // thread spawns.
+  obs::Recorder* const recorder = options.recorder;
+  if (recorder != nullptr) recorder->arm_workers(threads);
+  obs::Ring* const root_ring = recorder != nullptr ? recorder->main() : nullptr;
+  const bool started =
+      root_ring != nullptr &&
+      root_ring->open(obs::EventType::SolveStart, -1, static_cast<double>(threads), t0);
+  // One region per phase: its two clock reads feed the `milp.phase.*` timer,
+  // the Solution::phases mirror and the phase span.
+  auto phase = [&](obs::SpanName name, const char* timer, double* mirror) {
+    return obs::Region(root_ring, obs::span_id(name), &reg->timer(timer), mirror);
   };
+  obs::NodeLogger logger(options.log_interval, options.log_sink, t0);
   // Final bookkeeping, shared by every return path. Expects `solve_seconds`
   // (and the threads==1 cpu_seconds mirror) to be set already — finish()
   // must not move the clock, callers pin cpu_seconds == solve_seconds.
@@ -1037,14 +1021,12 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
       reg->gauge("milp.objective").set(s.objective);
       reg->gauge("milp.gap_abs").set(std::abs(s.objective - s.best_bound));
     }
-    if (!buffers.empty()) {
-      buffers[0].emit(obs::EventType::SolveEnd, -1,
-                      s.has_incumbent ? s.objective : kNan);
-      s.trace = obs::merge_buffers(buffers);
-      reg->counter("milp.trace_dropped").add(s.trace.dropped);
+    if (started) {
+      root_ring->close(obs::EventType::SolveEnd, -1,
+                       s.has_incumbent ? s.objective : kNan, Clock::now());
     }
-    if (profiler != nullptr) {
-      reg->counter("milp.spans_dropped").add(profiler->take_dropped());
+    if (recorder != nullptr) {
+      reg->counter("milp.records_dropped").add(recorder->take_dropped());
     }
     s.metrics = reg->snapshot();
   };
@@ -1068,14 +1050,10 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   PresolveResult pre;
   const Model* work = &model;
   if (options.use_presolve) {
-    phase_mark(obs::Phase::Presolve);
-    obs::ScopedSpan presolve_span(root_spans,
-                                  obs::span_id(obs::SpanName::Presolve));
-    obs::ScopedTimer presolve_timer(&reg->timer("milp.phase.presolve"),
-                                    &sol.phases.presolve);
+    obs::Region presolve_region =
+        phase(obs::SpanName::Presolve, "milp.phase.presolve", &sol.phases.presolve);
     pre = presolve(model);
-    presolve_timer.stop();
-    presolve_span.stop();
+    presolve_region.stop();
     // Caller-space row indices: `model` is the caller's model, so these feed
     // arch-level per-pattern attribution directly.
     sol.presolve_removed_rows = pre.removed_rows;
@@ -1155,12 +1133,11 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   MilpOptions node_options = options;
   node_options.lp.deadline = deadline;  // simplex loops honor the wall clock
   if (node_options.lp.cancel == nullptr) node_options.lp.cancel = options.cancel;
-  node_options.lp.trace = root_trace;   // the root solver's (worker 0's) buffer
-  if (node_options.lp.spans == nullptr) node_options.lp.spans = root_spans;
+  if (recorder != nullptr) node_options.lp.ring = root_ring;  // worker 0's ring
   if (node_options.lp.fault == nullptr) node_options.lp.fault = options.fault;
   SimplexSolver root_lp(*work, node_options.lp);
   NodePool pool(*work, node_options, threads);
-  const SearchHooks hooks{deadline, buffers, logger.enabled() ? &logger : nullptr,
+  const SearchHooks hooks{deadline, recorder, logger.enabled() ? &logger : nullptr,
                           reg};
   double root_bound = -kInf;  ///< root LP objective, minimize sense
   // Nodes solved by this search; a resumed one continues the checkpoint's
@@ -1209,12 +1186,10 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   }
 
   // --- root solve ---
-  phase_mark(obs::Phase::RootLp);
-  obs::ScopedSpan root_span(root_spans, obs::span_id(obs::SpanName::RootLp));
-  obs::ScopedTimer root_timer(&reg->timer("milp.phase.root_lp"),
-                              &sol.phases.root_lp);
-  if (root_trace != nullptr)
-    root_trace->emit(obs::EventType::NodeOpen, 1, kNan);
+  obs::Region root_region =
+      phase(obs::SpanName::RootLp, "milp.phase.root_lp", &sol.phases.root_lp);
+  if (root_ring != nullptr)
+    root_ring->emit(obs::EventType::NodeOpen, 1, kNan);
   // A hinted basis warm-starts the root with the dual simplex (bound/RHS
   // deltas preserve dual feasibility; objective deltas are repaired or fall
   // cold inside reoptimize_dual). A basis that no longer fits the model is
@@ -1240,14 +1215,13 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
     // The initial root solve gets the same first two ladder rungs as every
     // node LP; there is no parent bound to abandon into, so if both rungs
     // fail the error surfaces as the solve status below.
-    st = run_recovery_ladder(root_lp, {reg, root_trace, 1});
+    st = run_recovery_ladder(root_lp, {reg, root_ring, 1});
   }
-  root_timer.stop();
-  root_span.stop();
+  root_region.stop();
   if (st == SolveStatus::Optimal) {
     root_bound = root_lp.objective_value();
-    if (root_trace != nullptr) {
-      root_trace->emit(obs::EventType::Bound, 1, pool.sense_flip() * root_bound);
+    if (root_ring != nullptr) {
+      root_ring->emit(obs::EventType::Bound, 1, pool.sense_flip() * root_bound);
     }
     reg->gauge("milp.root_bound").set(pool.sense_flip() * root_bound);
     if (options.export_basis) {
@@ -1292,27 +1266,24 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
 
     if (pool.integral(x)) {
       const bool improved = pool.try_incumbent(x, root_lp.objective_value());
-      if (root_trace != nullptr) {
+      if (root_ring != nullptr) {
         if (improved) {
-          root_trace->emit(obs::EventType::Incumbent, 1,
-                           pool.sense_flip() * pool.incumbent());
+          root_ring->emit(obs::EventType::Incumbent, 1,
+                          pool.sense_flip() * pool.incumbent());
         }
-        root_trace->emit(obs::EventType::NodeClose, 1,
-                         pool.sense_flip() * root_bound,
-                         static_cast<std::uint8_t>(obs::NodeOutcome::Integer));
+        root_ring->emit(obs::EventType::NodeClose, 1,
+                        pool.sense_flip() * root_bound,
+                        static_cast<std::uint8_t>(obs::NodeOutcome::Integer));
       }
     } else {
-      if (root_trace != nullptr) {
-        root_trace->emit(obs::EventType::NodeClose, 1,
-                         pool.sense_flip() * root_bound,
-                         static_cast<std::uint8_t>(obs::NodeOutcome::Branched));
+      if (root_ring != nullptr) {
+        root_ring->emit(obs::EventType::NodeClose, 1,
+                        pool.sense_flip() * root_bound,
+                        static_cast<std::uint8_t>(obs::NodeOutcome::Branched));
       }
       {
-        phase_mark(obs::Phase::Heuristic);
-        obs::ScopedSpan heur_span(root_spans,
-                                  obs::span_id(obs::SpanName::Heuristic));
-        obs::ScopedTimer heur_timer(&reg->timer("milp.phase.heuristic"),
-                                    &sol.phases.heuristic);
+        const obs::Region heur_region = phase(
+            obs::SpanName::Heuristic, "milp.phase.heuristic", &sol.phases.heuristic);
         if (options.rounding_heuristic) {
           // Root rounding heuristic: snap and test.
           std::vector<double> xr = x;
@@ -1325,9 +1296,9 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
           }
           const bool improved =
               pool.try_incumbent(std::move(xr), pool.sense_flip() * obj);  // minimize sense
-          if (improved && root_trace != nullptr) {
-            root_trace->emit(obs::EventType::Incumbent, -1,
-                             pool.sense_flip() * pool.incumbent());
+          if (improved && root_ring != nullptr) {
+            root_ring->emit(obs::EventType::Incumbent, -1,
+                            pool.sense_flip() * pool.incumbent());
           }
         }
         if (!pool.has_incumbent()) {
@@ -1339,10 +1310,8 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
           nodes += run_search(pool, root_lp, 1, hooks, sol);
         }
       }
-      phase_mark(obs::Phase::Tree);
-      obs::ScopedSpan tree_span(root_spans, obs::span_id(obs::SpanName::Tree));
-      obs::ScopedTimer tree_timer(&reg->timer("milp.phase.tree"),
-                                  &sol.phases.tree);
+      obs::Region tree_region =
+          phase(obs::SpanName::Tree, "milp.phase.tree", &sol.phases.tree);
       fix_by_reduced_cost();
       if (!pool.limit_hit()) {
         pool.start(/*probe=*/false, nodes);
@@ -1370,28 +1339,27 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
         // last checkpoint then carries the exact surviving frontier, and a
         // finished run's carries an empty one (resume returns the incumbent
         // immediately).
-        pool.write_final_checkpoint(root_trace);
+        pool.write_final_checkpoint(root_ring);
       }
-      tree_timer.stop();
-      tree_span.stop();
+      tree_region.stop();
     }
   } else if (st == SolveStatus::Infeasible) {
     sol.status = SolveStatus::Infeasible;
-    if (root_trace != nullptr) {
-      root_trace->emit(obs::EventType::NodeClose, 1, kNan,
-                       static_cast<std::uint8_t>(obs::NodeOutcome::Infeasible));
+    if (root_ring != nullptr) {
+      root_ring->emit(obs::EventType::NodeClose, 1, kNan,
+                      static_cast<std::uint8_t>(obs::NodeOutcome::Infeasible));
     }
   } else if (st == SolveStatus::Unbounded) {
     sol.status = SolveStatus::Unbounded;
-    if (root_trace != nullptr) {
-      root_trace->emit(obs::EventType::NodeClose, 1, kNan,
-                       static_cast<std::uint8_t>(obs::NodeOutcome::Limit));
+    if (root_ring != nullptr) {
+      root_ring->emit(obs::EventType::NodeClose, 1, kNan,
+                      static_cast<std::uint8_t>(obs::NodeOutcome::Limit));
     }
   } else {
     sol.status = st;
-    if (root_trace != nullptr) {
-      root_trace->emit(obs::EventType::NodeClose, 1, kNan,
-                       static_cast<std::uint8_t>(obs::NodeOutcome::Limit));
+    if (root_ring != nullptr) {
+      root_ring->emit(obs::EventType::NodeClose, 1, kNan,
+                      static_cast<std::uint8_t>(obs::NodeOutcome::Limit));
     }
   }
 
@@ -1413,11 +1381,8 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   }
 
   if (st == SolveStatus::Optimal) {
-    phase_mark(obs::Phase::Extract);
-    obs::ScopedSpan extract_span(root_spans,
-                                 obs::span_id(obs::SpanName::MilpExtract));
-    obs::ScopedTimer extract_timer(&reg->timer("milp.phase.extract"),
-                                   &sol.phases.extract);
+    obs::Region extract_region =
+        phase(obs::SpanName::MilpExtract, "milp.phase.extract", &sol.phases.extract);
     // Abandoned subtrees (ladder exhausted) cap the proven bound at their
     // parents' bounds — the min below keeps the reported gap sound.
     const bool stopped = pool.limit_hit();
@@ -1441,7 +1406,7 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
       sol.best_bound =
           pool.sense_flip() * std::min(root_bound, pool.degraded_bound());
     }
-    extract_timer.stop();
+    extract_region.stop();
   }
 
   // Independent certification of the answer we are about to return: primal

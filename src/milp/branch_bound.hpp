@@ -24,6 +24,7 @@
 #include "milp/simplex.hpp"
 #include "milp/warm_start.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 
 namespace archex::milp {
 
@@ -97,14 +98,6 @@ struct MilpOptions {
   /// With num_threads >= 2 it may fire from worker threads; calls are
   /// serialized under the incumbent lock.
   std::function<void(double)> on_incumbent{};
-  /// Record a structured event trace (node open/close, bounds, incumbents,
-  /// steals, basis events) into per-worker ring buffers, merged into
-  /// `Solution::trace` at solve end. Off by default: the tracing-off solve
-  /// path is untouched (every hook is a null-guarded pointer).
-  bool trace = false;
-  /// Ring capacity per worker; oldest events are overwritten when full and
-  /// counted in `Trace::dropped`.
-  std::size_t trace_capacity = 1 << 16;
   /// CPLEX-style live node log: a progress line roughly every
   /// `log_interval` seconds to `log_sink`. Both must be set (interval > 0,
   /// sink non-null) to enable; off by default.
@@ -148,16 +141,17 @@ struct MilpOptions {
   /// matches; otherwise (missing/corrupt/mismatched) the solve starts fresh
   /// and sets the `milp.checkpoint.rejected` metric.
   bool resume = false;
-  /// Optional hierarchical span profiler (obs/span.hpp): phase spans
-  /// (presolve / root LP / heuristic / tree / extract) on the caller's
-  /// buffer 0 and sampled simplex kernel spans on each worker's own buffer
-  /// (copied into `lp.spans` per worker unless one is already set there).
-  /// The profiler outlives the solve and may span several (lazy-constraint)
-  /// solves; spans dropped to buffer overflow surface per solve as the
-  /// `milp.spans_dropped` counter. Null — the default — keeps every span
-  /// site at a single pointer test. Export via
-  /// SpanProfiler::write_chrome_trace (`milp_solve --profile-json`).
-  obs::SpanProfiler* profiler = nullptr;
+  /// Optional instrumentation stream (obs/recorder.hpp). The solve writes
+  /// `solve_start`/`solve_end`, its five phase spans and the root-phase
+  /// events into ring 0 (the calling thread's), and each pool worker writes
+  /// node, steal, incumbent, bound and kernel records into its own ring
+  /// (copied into `lp.ring` per worker). A recorder may span several
+  /// sequential solves (the lazy loop); records dropped to a full ring
+  /// surface per solve as the `milp.records_dropped` counter. Export with
+  /// `Recorder::trace().write_jsonl` (`milp_solve --trace-json`) or
+  /// `Recorder::write_chrome_trace` (`--profile-json`). Null — the default —
+  /// keeps every record site at one pointer test and allocates nothing.
+  obs::Recorder* recorder = nullptr;
 };
 
 /// Solves the mixed integer program `model`. The returned solution vector is

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "milp/expr.hpp"
-#include "obs/trace.hpp"
 
 namespace archex::milp {
 
@@ -211,8 +210,6 @@ struct Solution {
   /// the same path as MilpOptions::on_incumbent, so it is populated even
   /// when no callback is installed.
   std::vector<IncumbentPoint> incumbent_trajectory;
-  /// Merged structured event trace; empty unless MilpOptions::trace was set.
-  obs::Trace trace;
   /// Snapshot of the solve's metrics registry (name -> value; timers expand
   /// to `.seconds` / `.count` / `.max`). Empty for plain LP solves.
   std::map<std::string, double> metrics;

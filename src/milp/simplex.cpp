@@ -251,9 +251,8 @@ void SimplexSolver::price_row(const std::vector<double>& rho,
 bool SimplexSolver::refactorize() {
   // Refactorizations are rare (every ~refactor_interval pivots) and dominate
   // worst-case node latency, so they are spanned unconditionally.
-  obs::ScopedSpan span(opts_.spans, obs::span_id(obs::SpanName::Refactor));
+  obs::Region span(opts_.ring, obs::span_id(obs::SpanName::Refactor));
   ++reopt_stats_.refactors;
-  if (opts_.trace != nullptr) opts_.trace->emit(obs::EventType::Refactor);
   if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::SingularFactor)) {
     return false;  // injected singular factorization
   }
@@ -297,7 +296,7 @@ void SimplexSolver::rebuild_candidates() {
 void SimplexSolver::price(const std::vector<double>& cost, std::vector<double>& d) const {
   // Full passes happen at loop entry and after refactorizations — rare
   // enough to span unconditionally.
-  obs::ScopedSpan span(opts_.spans, obs::span_id(obs::SpanName::Price));
+  obs::Region span(opts_.ring, obs::span_id(obs::SpanName::Price));
   // y = c_B^T * B^-1 via btran of the position-indexed basic costs.
   std::vector<double>& y = scratch_y_;
   for (std::size_t i = 0; i < m_; ++i) {
@@ -436,8 +435,7 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
     }
 
     {
-      obs::ScopedSpan ftran_span(sampled_spans(),
-                                 obs::span_id(obs::SpanName::Ftran));
+      obs::Region ftran_span(sampled_ring(), obs::span_id(obs::SpanName::Ftran));
       ftran(q, w);
     }
 
@@ -515,11 +513,11 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
       // the *old* basis factorization, before update_factors).
       const double dq = d[static_cast<std::size_t>(q)];
       if (dq != 0.0) {
-        obs::SpanBuffer* const sp = sampled_spans();
-        obs::ScopedSpan btran_span(sp, obs::span_id(obs::SpanName::BtranRow));
+        obs::Ring* const sp = sampled_ring();
+        obs::Region btran_span(sp, obs::span_id(obs::SpanName::BtranRow));
         btran_row(r, rho);
         btran_span.stop();
-        obs::ScopedSpan price_span(sp, obs::span_id(obs::SpanName::PriceRow));
+        obs::Region price_span(sp, obs::span_id(obs::SpanName::PriceRow));
         price_row(rho, alpha, alpha_nz);
         price_span.stop();
         const double ratio = dq / w[r];
@@ -646,7 +644,7 @@ SolveStatus SimplexSolver::reoptimize_dual() {
     st = dual_loop();
   } else {
     ++reopt_stats_.repaired;
-    if (opts_.trace != nullptr) opts_.trace->emit(obs::EventType::DualRepair);
+    if (opts_.ring != nullptr) opts_.ring->emit(obs::EventType::DualRepair);
     // Dual-infeasible warm basis (we backtracked past the point where this
     // basis was optimal). The dual loop is still a valid *primal repair*
     // procedure — its pivots are algebraically sound, only its optimality
@@ -658,13 +656,13 @@ SolveStatus SimplexSolver::reoptimize_dual() {
       st = primal_loop(pert_cost_, /*phase_one=*/false);
     } else if (st == SolveStatus::Infeasible) {
       ++reopt_stats_.cold;
-      if (opts_.trace != nullptr) opts_.trace->emit(obs::EventType::ColdRestart);
+      if (opts_.ring != nullptr) opts_.ring->emit(obs::EventType::ColdRestart);
       st = solve_primal();
     }
   }
   if (st == SolveStatus::NumericalError) {
     // Decayed basis: fall back to a cold start.
-    if (opts_.trace != nullptr) opts_.trace->emit(obs::EventType::ColdRestart);
+    if (opts_.ring != nullptr) opts_.ring->emit(obs::EventType::ColdRestart);
     return solve_primal();
   }
   basis_valid_ = (st == SolveStatus::Optimal);
@@ -750,11 +748,11 @@ SolveStatus SimplexSolver::dual_loop() {
     const double e = above ? 1.0 : -1.0;
 
     {
-      obs::SpanBuffer* const sp = sampled_spans();
-      obs::ScopedSpan btran_span(sp, obs::span_id(obs::SpanName::BtranRow));
+      obs::Ring* const sp = sampled_ring();
+      obs::Region btran_span(sp, obs::span_id(obs::SpanName::BtranRow));
       btran_row(r, rho);
       btran_span.stop();
-      obs::ScopedSpan price_span(sp, obs::span_id(obs::SpanName::PriceRow));
+      obs::Region price_span(sp, obs::span_id(obs::SpanName::PriceRow));
       price_row(rho, alphas, alpha_nz);
     }
 
@@ -787,8 +785,7 @@ SolveStatus SimplexSolver::dual_loop() {
     if (q < 0) return SolveStatus::Infeasible;  // dual unbounded
 
     {
-      obs::ScopedSpan ftran_span(sampled_spans(),
-                                 obs::span_id(obs::SpanName::Ftran));
+      obs::Region ftran_span(sampled_ring(), obs::span_id(obs::SpanName::Ftran));
       ftran(q, w);
     }
     if (std::abs(w[r]) < opts_.pivot_tol) {

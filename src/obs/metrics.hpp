@@ -10,7 +10,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -42,7 +41,7 @@ class Gauge {
 };
 
 /// Accumulated duration metric with an invocation count and the worst single
-/// observation; fed by ScopedTimer.
+/// observation; fed by obs::Region (obs/recorder.hpp).
 class Timer {
  public:
   void record(std::int64_t nanos) {
@@ -111,38 +110,6 @@ class Histogram {
   std::atomic<std::int64_t> buckets_[kBuckets]{};
   std::atomic<std::int64_t> count_{0};
   std::atomic<std::int64_t> sum_nanos_{0};
-};
-
-/// RAII monotonic-clock scope feeding a Timer (either may be null — the scope
-/// then measures for the mirror alone, or does nothing at all). `seconds`
-/// optionally mirrors the elapsed time into a plain double (phase fields).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer* timer, double* seconds = nullptr)
-      : timer_(timer), seconds_(seconds) {
-    if (timer_ != nullptr || seconds_ != nullptr)
-      start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() { stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Ends the scope early; subsequent destruction records nothing.
-  void stop() {
-    if (timer_ == nullptr && seconds_ == nullptr) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    if (timer_ != nullptr) timer_->record(ns);
-    if (seconds_ != nullptr) *seconds_ = static_cast<double>(ns) * 1e-9;
-    timer_ = nullptr;
-    seconds_ = nullptr;
-  }
-
- private:
-  Timer* timer_;
-  double* seconds_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 /// Named metric store. Thread-safe registration, lock-free recording through

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "arch/algorithm.hpp"
@@ -123,43 +124,50 @@ TEST(IterativeSchemeTest, RespectsIterationBudget) {
 }
 
 TEST(IterativeSchemeTest, TimeLimitIsOneBudgetAcrossIterations) {
-  // Regression: `time_limit_s` used to restart at every re-solve, so a
-  // learning loop with a 0.2 s limit could legally run all ten iterations
-  // (each individually fast) and never time out. The limit is now converted
+  // Regression: a relative budget used to restart at every re-solve, so a
+  // learning loop with a 0.2 s budget could legally run all ten iterations
+  // (each individually fast) and never time out. The budget is now converted
   // to one absolute deadline at entry; a learn step that burns the whole
   // budget must make the *next* solve come back TimeLimit and end the loop.
-  LatencyNet net;
-  Problem p(net.lib, net.tmpl);
-  p.set_functional_flow({"Src", "Mid", "Snk"});
-  p.apply(SinksConnectedToSources(NodeFilter::of_type("Src"), NodeFilter::of_type("Snk")));
+  // Both spellings of the budget are held to it: the preferred `budget` and
+  // its deprecated `time_limit_s` alias.
+  milp::MilpOptions by_alias;
+  by_alias.time_limit_s = 0.2;
+  milp::MilpOptions by_budget;
+  by_budget.budget = milp::Budget::of_seconds(0.2);
+  for (const milp::MilpOptions& opts : {by_alias, by_budget}) {
+    SCOPED_TRACE(std::isfinite(opts.budget.seconds) ? "budget" : "time_limit_s");
+    LatencyNet net;
+    Problem p(net.lib, net.tmpl);
+    p.set_functional_flow({"Src", "Mid", "Snk"});
+    p.apply(SinksConnectedToSources(NodeFilter::of_type("Src"), NodeFilter::of_type("Snk")));
 
-  const AnalysisFn never = [](Problem&, const Architecture&) { return AnalysisVerdict{}; };
-  const LearnFn slow_learn = [](Problem& prob, const Architecture&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(350));
-    prob.model().add_constraint(milp::LinExpr(prob.instantiated(0)), milp::Sense::LE, 1.0);
-    return true;
-  };
-  milp::MilpOptions opts;
-  opts.time_limit_s = 0.2;  // spans solve + analyze + learn, end to end
+    const AnalysisFn never = [](Problem&, const Architecture&) { return AnalysisVerdict{}; };
+    const LearnFn slow_learn = [](Problem& prob, const Architecture&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(350));
+      prob.model().add_constraint(milp::LinExpr(prob.instantiated(0)), milp::Sense::LE, 1.0);
+      return true;
+    };
 
-  const auto t0 = std::chrono::steady_clock::now();
-  IterativeResult res = solve_iteratively(p, never, slow_learn, opts, 10);
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    const auto t0 = std::chrono::steady_clock::now();
+    IterativeResult res = solve_iteratively(p, never, slow_learn, opts, 10);
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-  EXPECT_FALSE(res.converged);
-  // Iteration 1 solves (budget intact), learn overruns the deadline,
-  // iteration 2's solve times out immediately — never ten fresh budgets.
-  EXPECT_EQ(res.steps.size(), 2u);
-  EXPECT_EQ(res.final_result.solution.status, milp::SolveStatus::TimeLimit);
-  EXPECT_LT(secs, 2.0);
-  // Anytime fallback: the budget-stopped re-solve had no incumbent of its
-  // own, so the loop surfaces iteration 1's architecture (flagged degraded
-  // by the TimeLimit status) instead of an empty result.
-  ASSERT_TRUE(res.final_result.feasible());
-  EXPECT_TRUE(res.final_result.degraded());
-  EXPECT_EQ(res.final_result.solution.objective, res.steps.front().cost);
-  EXPECT_EQ(res.final_result.architecture.cost, res.steps.front().architecture.cost);
+    EXPECT_FALSE(res.converged);
+    // Iteration 1 solves (budget intact), learn overruns the deadline,
+    // iteration 2's solve times out immediately — never ten fresh budgets.
+    EXPECT_EQ(res.steps.size(), 2u);
+    EXPECT_EQ(res.final_result.solution.status, milp::SolveStatus::TimeLimit);
+    EXPECT_LT(secs, 2.0);
+    // Anytime fallback: the budget-stopped re-solve had no incumbent of its
+    // own, so the loop surfaces iteration 1's architecture (flagged degraded
+    // by the TimeLimit status) instead of an empty result.
+    ASSERT_TRUE(res.final_result.feasible());
+    EXPECT_TRUE(res.final_result.degraded());
+    EXPECT_EQ(res.final_result.solution.objective, res.steps.front().cost);
+    EXPECT_EQ(res.final_result.architecture.cost, res.steps.front().architecture.cost);
+  }
 }
 
 TEST(IterativeSchemeTest, CallerDeadlineWinsOverRelativeLimit) {

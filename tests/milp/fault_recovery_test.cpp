@@ -16,6 +16,7 @@
 #include "milp/branch_bound.hpp"
 #include "milp/fault.hpp"
 #include "milp/simplex.hpp"
+#include "obs/recorder.hpp"
 
 namespace archex::milp {
 namespace {
@@ -356,7 +357,8 @@ TEST(RecoveryLadderTest, ExhaustedLadderDegradesWithSoundBound) {
            /*repeat=*/std::numeric_limits<std::int64_t>::max() / 2);
   MilpOptions opts = base;
   opts.fault = &plan;
-  opts.trace = true;
+  obs::Recorder rec;
+  opts.recorder = &rec;
   const Solution s = solve_milp(m, opts);
   EXPECT_TRUE(plan.any_fired());
   EXPECT_TRUE(s.degraded);
@@ -377,7 +379,7 @@ TEST(RecoveryLadderTest, ExhaustedLadderDegradesWithSoundBound) {
   }
   // The trace records the escalation.
   bool saw_abandon = false;
-  for (const auto& e : s.trace.events) {
+  for (const obs::Record& e : rec.trace().records) {
     if (e.type == obs::EventType::Recover &&
         static_cast<obs::RecoverRung>(e.detail) == obs::RecoverRung::Abandon) {
       saw_abandon = true;

@@ -1,21 +1,24 @@
 /// Tests for the solver telemetry added around the branch & bound: termination
-/// reasons, the time-stamped incumbent trajectory, the structured event trace
-/// (sequential node accounting, parallel steal events), phase timings, the
-/// metrics snapshot and the live node log — plus the invariant that tracing
-/// never perturbs the search itself.
+/// reasons, the time-stamped incumbent trajectory, the record stream
+/// (sequential node accounting, parallel steal events, one recording per
+/// phase), phase timings, the metrics snapshot and the live node log — plus
+/// the invariant that recording never perturbs the search itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "arch/compiled_model.hpp"
 #include "domains/epn.hpp"
 #include "milp/branch_bound.hpp"
 #include "milp/simplex.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 
 namespace archex::milp {
 namespace {
@@ -157,92 +160,162 @@ TEST(TelemetryTest, TrajectoryChainsUserCallback) {
 // ---------------------------------------------------------------------------
 
 TEST(TelemetryTest, TraceOffByDefault) {
+  EXPECT_EQ(MilpOptions{}.recorder, nullptr);
   const Solution s = solve_milp(knapsack_fixture(12, 1));
-  EXPECT_TRUE(s.trace.empty());
-  EXPECT_EQ(s.trace.dropped, 0);
+  EXPECT_EQ(s.metrics.count("milp.records_dropped"), 0u);
 }
 
 TEST(TelemetryTest, SequentialTraceAccountsForEveryNode) {
+  obs::Recorder rec;
   MilpOptions o;
   o.num_threads = 1;
-  o.trace = true;
+  o.recorder = &rec;
   const Solution s = solve_milp(knapsack_fixture(18, 5), o);
   ASSERT_TRUE(s.optimal());
-  ASSERT_FALSE(s.trace.empty());
-  EXPECT_EQ(s.trace.count(obs::EventType::SolveStart), 1u);
-  EXPECT_EQ(s.trace.count(obs::EventType::SolveEnd), 1u);
-  EXPECT_GE(s.trace.count(obs::EventType::Phase), 3u);  // presolve, root, tree
+  const obs::Trace trace = rec.trace();
+  ASSERT_FALSE(trace.empty());
+  EXPECT_EQ(trace.count(obs::EventType::SolveStart), 1u);
+  EXPECT_EQ(trace.count(obs::EventType::SolveEnd), 1u);
+  for (const obs::SpanName p : {obs::SpanName::Presolve, obs::SpanName::RootLp,
+                                obs::SpanName::Tree}) {
+    const auto begins = std::count_if(
+        trace.records.begin(), trace.records.end(), [p](const obs::Record& r) {
+          return r.type == obs::EventType::SpanBegin && r.id == obs::span_id(p);
+        });
+    EXPECT_EQ(begins, 1) << obs::to_string(p);
+  }
   // Every node opens exactly once and closes exactly once, under its own
   // id. Explored nodes ran an LP; the pool also opens and closes nodes a
   // newer incumbent prunes before their LP (outcome Pruned), which do not
   // count as explored.
   std::size_t pruned = 0;
   std::set<std::int64_t> open_ids, close_ids;
-  for (const obs::TraceEvent& e : s.trace.events) {
+  for (const obs::Record& e : trace.records) {
     if (e.type == obs::EventType::NodeOpen) open_ids.insert(e.id);
     if (e.type != obs::EventType::NodeClose) continue;
     close_ids.insert(e.id);
     if (static_cast<obs::NodeOutcome>(e.detail) == obs::NodeOutcome::Pruned) ++pruned;
   }
   const auto explored_or_pruned = static_cast<std::size_t>(s.nodes_explored) + pruned;
-  EXPECT_EQ(s.trace.count(obs::EventType::NodeOpen), explored_or_pruned);
-  EXPECT_EQ(s.trace.count(obs::EventType::NodeClose), explored_or_pruned);
+  EXPECT_EQ(trace.count(obs::EventType::NodeOpen), explored_or_pruned);
+  EXPECT_EQ(trace.count(obs::EventType::NodeClose), explored_or_pruned);
   EXPECT_EQ(open_ids.size(), explored_or_pruned);
   EXPECT_EQ(open_ids, close_ids);
-  EXPECT_EQ(s.trace.count(obs::EventType::Steal), 0u);
-  EXPECT_EQ(s.trace.num_workers(), 1);
-  // Merged events are time-sorted.
-  for (std::size_t i = 1; i < s.trace.events.size(); ++i) {
-    EXPECT_LE(s.trace.events[i - 1].t, s.trace.events[i].t);
+  EXPECT_EQ(trace.count(obs::EventType::Steal), 0u);
+  EXPECT_EQ(trace.num_workers(), 1);
+  // Merged records are time-sorted.
+  for (std::size_t i = 1; i < trace.records.size(); ++i) {
+    EXPECT_LE(trace.records[i - 1].ns, trace.records[i].ns);
   }
   // Incumbent events carry the model-sense objective; the last one is the
   // reported optimum.
-  ASSERT_GE(s.trace.count(obs::EventType::Incumbent), 1u);
+  ASSERT_GE(trace.count(obs::EventType::Incumbent), 1u);
   double last_inc = 0.0;
-  for (const obs::TraceEvent& e : s.trace.events) {
+  for (const obs::Record& e : trace.records) {
     if (e.type == obs::EventType::Incumbent) last_inc = e.value;
   }
   EXPECT_NEAR(last_inc, s.objective, 1e-9);
 }
 
 TEST(TelemetryTest, ParallelTraceRecordsStealsFromMultipleWorkers) {
-  MilpOptions o;
-  o.num_threads = 4;
-  o.trace = true;
   // The ~350k-node tree emits far more than the default ring capacity; give
   // each worker room for the full solve so event counts are exact.
-  o.trace_capacity = std::size_t{1} << 19;
+  obs::Recorder rec(std::size_t{1} << 19);
+  MilpOptions o;
+  o.num_threads = 4;
+  o.recorder = &rec;
   o.time_limit_s = 300;
   const Solution s = solve_milp(hard_knapsack_fixture(50, 42), o);
   ASSERT_TRUE(s.optimal());
   EXPECT_EQ(s.threads_used, 4);
   EXPECT_GE(s.steals, 1);
-  EXPECT_GE(s.trace.num_workers(), 2) << "events from at least two workers";
-  EXPECT_GE(s.trace.count(obs::EventType::Steal), 1u);
-  EXPECT_GE(s.trace.count(obs::EventType::Incumbent), 1u);
-  EXPECT_GT(s.trace.count(obs::EventType::NodeOpen), 0u);
-  // The ring may overwrite under this workload, but never silently: the
-  // merged trace reports exactly what was lost.
-  if (s.trace.dropped == 0) {
-    EXPECT_EQ(s.trace.count(obs::EventType::Steal),
-              static_cast<std::size_t>(s.steals));
+  const obs::Trace trace = rec.trace();
+  EXPECT_GE(trace.num_workers(), 2) << "events from at least two workers";
+  EXPECT_GE(trace.count(obs::EventType::Steal), 1u);
+  EXPECT_GE(trace.count(obs::EventType::Incumbent), 1u);
+  EXPECT_GT(trace.count(obs::EventType::NodeOpen), 0u);
+  // A ring may fill under this workload, but never silently: the merged
+  // trace reports exactly what was lost.
+  if (trace.dropped == 0) {
+    EXPECT_EQ(trace.count(obs::EventType::Steal), static_cast<std::size_t>(s.steals));
   }
 }
 
 TEST(TelemetryTest, TracingDoesNotPerturbTheSearch) {
-  const Model m = knapsack_fixture(22, 99);
-  MilpOptions off;
-  off.num_threads = 1;
-  MilpOptions on = off;
-  on.trace = true;
-  const Solution a = solve_milp(m, off);
-  const Solution b = solve_milp(m, on);
-  ASSERT_TRUE(a.optimal());
-  ASSERT_TRUE(b.optimal());
-  EXPECT_EQ(a.nodes_explored, b.nodes_explored);
-  EXPECT_EQ(a.simplex_iterations, b.simplex_iterations);
-  EXPECT_DOUBLE_EQ(a.objective, b.objective);
-  EXPECT_EQ(a.x, b.x);
+  // Off, on, off again: the search is the same whether or not a recorder is
+  // attached, on a knapsack and on EPN tiny (whose tree runs all five phases
+  // and the sampled kernel spans).
+  const auto epn = domains::epn::make_problem(domains::epn::tiny_config());
+  for (const Model& m : {knapsack_fixture(22, 99), compile(*epn).base_model()}) {
+    MilpOptions off;
+    off.num_threads = 1;
+    obs::Recorder rec;
+    MilpOptions on = off;
+    on.recorder = &rec;
+    const Solution a = solve_milp(m, off);
+    const Solution b = solve_milp(m, on);
+    const Solution c = solve_milp(m, off);
+    ASSERT_TRUE(a.optimal());
+    ASSERT_TRUE(b.optimal());
+    ASSERT_GT(rec.trace().count(obs::EventType::NodeOpen), 0u);
+    for (const Solution* other : {&b, &c}) {
+      EXPECT_EQ(a.nodes_explored, other->nodes_explored);
+      EXPECT_EQ(a.simplex_iterations, other->simplex_iterations);
+      EXPECT_DOUBLE_EQ(a.objective, other->objective);
+      EXPECT_EQ(a.x, other->x);
+    }
+  }
+}
+
+TEST(TelemetryTest, EachPhaseIsRecordedOnce) {
+  // One region per phase: the span pair in the ring, the JSONL `phase`
+  // event, the `milp.phase.<p>` timer and the Solution::phases mirror all
+  // come from the same two clock reads, so the durations agree bit for bit.
+  const auto epn = domains::epn::make_problem(domains::epn::tiny_config());
+  obs::Recorder rec;
+  MilpOptions o;
+  o.num_threads = 1;
+  o.recorder = &rec;
+  const Solution s = solve_milp(compile(*epn).base_model(), o);
+  ASSERT_TRUE(s.optimal());
+  ASSERT_GT(s.nodes_explored, 1);  // the heuristic and tree phases ran
+
+  std::ostringstream jsonl;
+  rec.trace().write_jsonl(jsonl);
+  const std::string text = jsonl.str();
+  const std::vector<obs::Recorder::Span> spans = rec.spans();
+  const struct {
+    obs::SpanName name;
+    const char* jsonl;
+    const char* timer;
+    double mirror;
+  } phases[] = {
+      {obs::SpanName::Presolve, "presolve", "presolve", s.phases.presolve},
+      {obs::SpanName::RootLp, "root_lp", "root_lp", s.phases.root_lp},
+      {obs::SpanName::Heuristic, "heuristic", "heuristic", s.phases.heuristic},
+      {obs::SpanName::Tree, "tree", "tree", s.phases.tree},
+      {obs::SpanName::MilpExtract, "extract", "extract", s.phases.extract},
+  };
+  for (const auto& p : phases) {
+    SCOPED_TRACE(p.jsonl);
+    std::size_t pairs = 0;
+    double span_seconds = -1.0;
+    for (const obs::Recorder::Span& sp : spans) {
+      if (sp.name != obs::span_id(p.name)) continue;
+      ++pairs;
+      span_seconds = static_cast<double>(sp.ns1 - sp.ns0) * 1e-9;
+    }
+    EXPECT_EQ(pairs, 1u);
+    const std::string line = std::string("\"type\":\"phase\",\"worker\":0,\"phase\":\"") +
+                             p.jsonl + "\"}";
+    const std::size_t first = text.find(line);
+    EXPECT_NE(first, std::string::npos);
+    EXPECT_EQ(text.find(line, first + 1), std::string::npos);
+    const std::string timer = std::string("milp.phase.") + p.timer;
+    EXPECT_EQ(s.metrics.at(timer + ".count"), 1.0);
+    EXPECT_EQ(s.metrics.at(timer + ".seconds"), p.mirror);
+    EXPECT_EQ(span_seconds, p.mirror);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 /// Unit tests for the observability layer: the metrics registry (concurrent
-/// counters, timer scopes, snapshot flattening), the single-writer trace ring
-/// buffers (overflow, merge ordering, JSONL schema) and the node logger's
-/// interval gating.
+/// counters, timed regions, snapshot flattening), the record stream's point
+/// events (zero-capacity rings, merge ordering, JSONL schema) and the node
+/// logger's interval gating.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,7 +13,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/node_log.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 
 namespace archex::obs {
 namespace {
@@ -65,12 +65,12 @@ TEST(MetricsTest, SnapshotFlattensAllKinds) {
   EXPECT_DOUBLE_EQ(snap.at("phase.count"), 1.0);
 }
 
-TEST(MetricsTest, ScopedTimerFeedsTimerAndMirror) {
+TEST(MetricsTest, RegionFeedsTimerAndMirror) {
   MetricsRegistry reg;
   Timer& t = reg.timer("scope");
   double mirror = -1.0;
   {
-    ScopedTimer scope(&t, &mirror);
+    Region scope(&t, &mirror);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     scope.stop();
     // A stopped scope records nothing further on destruction.
@@ -79,7 +79,7 @@ TEST(MetricsTest, ScopedTimerFeedsTimerAndMirror) {
   EXPECT_GT(t.seconds(), 0.0);
   EXPECT_NEAR(mirror, t.seconds(), 1e-12);
   {
-    ScopedTimer null_scope(nullptr, nullptr);  // must be a no-op
+    const Region null_scope(nullptr, nullptr);  // must be a no-op
   }
   EXPECT_EQ(t.count(), 1);
 }
@@ -197,48 +197,32 @@ TEST(MetricsTest, SnapshotAndPrometheusRenderHistograms) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace buffers
+// Record stream: point events and the JSONL export
 // ---------------------------------------------------------------------------
 
-TEST(TraceTest, DefaultBufferIsDisabled) {
-  TraceBuffer buf;
-  EXPECT_FALSE(buf.enabled());
-  buf.emit(EventType::NodeOpen, 1, 2.0);  // must be a no-op, not a crash
-  EXPECT_TRUE(buf.drain().empty());
-  EXPECT_EQ(buf.dropped(), 0);
+TEST(TraceTest, ZeroCapacityRingRecordsNothingAndCountsDrops) {
+  Recorder rec(/*capacity_per_worker=*/0);
+  Ring* ring = rec.main();
+  ring->emit(EventType::NodeOpen, 1, 2.0);  // must be a drop, not a crash
+  EXPECT_TRUE(ring->records().empty());
+  EXPECT_EQ(ring->dropped(), 1);
+  EXPECT_TRUE(rec.trace().empty());
 }
 
-TEST(TraceTest, RingOverflowKeepsNewestAndCountsDropped) {
-  TraceBuffer buf;
-  buf.init(0, 4, std::chrono::steady_clock::now());
-  for (std::int64_t i = 0; i < 6; ++i) buf.emit(EventType::NodeOpen, i);
-  EXPECT_EQ(buf.dropped(), 2);
-  const std::vector<TraceEvent> events = buf.drain();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].id, static_cast<std::int64_t>(i + 2)) << "slot " << i;
-  }
-  // drain() resets the ring: the buffer is immediately reusable.
-  buf.emit(EventType::NodeClose, 9);
-  const std::vector<TraceEvent> again = buf.drain();
-  ASSERT_EQ(again.size(), 1u);
-  EXPECT_EQ(again[0].id, 9);
-}
-
-TEST(TraceTest, MergeSortsEventsAcrossBuffers) {
-  const auto epoch = std::chrono::steady_clock::now();
-  std::vector<TraceBuffer> buffers(2);
-  buffers[0].init(0, 16, epoch);
-  buffers[1].init(1, 16, epoch);
-  // Interleave writes so neither buffer alone is globally ordered.
-  buffers[0].emit(EventType::NodeOpen, 1);
-  buffers[1].emit(EventType::NodeOpen, 2);
-  buffers[0].emit(EventType::NodeClose, 1);
-  buffers[1].emit(EventType::NodeClose, 2);
-  const Trace trace = merge_buffers(buffers);
-  ASSERT_EQ(trace.events.size(), 4u);
-  for (std::size_t i = 1; i < trace.events.size(); ++i) {
-    EXPECT_LE(trace.events[i - 1].t, trace.events[i].t);
+TEST(TraceTest, MergeSortsRecordsAcrossRings) {
+  Recorder rec(16);
+  rec.arm_workers(2);
+  Ring* r0 = rec.ring(0);
+  Ring* r1 = rec.ring(1);
+  // Interleave writes so neither ring alone is globally ordered.
+  r0->emit(EventType::NodeOpen, 1);
+  r1->emit(EventType::NodeOpen, 2);
+  r0->emit(EventType::NodeClose, 1);
+  r1->emit(EventType::NodeClose, 2);
+  const Trace trace = rec.trace();
+  ASSERT_EQ(trace.records.size(), 4u);
+  for (std::size_t i = 1; i < trace.records.size(); ++i) {
+    EXPECT_LE(trace.records[i - 1].ns, trace.records[i].ns);
   }
   EXPECT_EQ(trace.count(EventType::NodeOpen), 2u);
   EXPECT_EQ(trace.count(EventType::NodeClose), 2u);
@@ -247,31 +231,40 @@ TEST(TraceTest, MergeSortsEventsAcrossBuffers) {
 }
 
 TEST(TraceTest, JsonlUsesDocumentedKeysAndNullForNonFinite) {
-  TraceBuffer buf;
-  buf.init(3, 32, std::chrono::steady_clock::now());
-  buf.emit(EventType::SolveStart, -1, 4.0);
-  buf.emit(EventType::Phase, -1, 0.0, static_cast<std::uint8_t>(Phase::RootLp));
-  buf.emit(EventType::NodeOpen, 1, std::numeric_limits<double>::quiet_NaN());
-  buf.emit(EventType::NodeClose, 1, 12.5, static_cast<std::uint8_t>(NodeOutcome::Branched));
-  buf.emit(EventType::Incumbent, 1, 42.0);
-  buf.emit(EventType::Steal, 7, 2.0);
-  buf.emit(EventType::SolveEnd, -1, 42.0);
-  std::vector<TraceBuffer> buffers;
-  buffers.push_back(std::move(buf));
-  const Trace trace = merge_buffers(buffers);
+  Recorder rec(32);
+  rec.arm_workers(4);
+  Ring* ring = rec.ring(3);
+  ASSERT_TRUE(ring->open(EventType::SolveStart, -1, 4.0, Clock::now()));
+  {
+    const Region root_lp(ring, span_id(SpanName::RootLp));
+    const Region refactor(ring, span_id(SpanName::Refactor));
+    const Region ftran(ring, span_id(SpanName::Ftran));  // no JSONL line
+  }
+  ring->emit(EventType::NodeOpen, 1, std::numeric_limits<double>::quiet_NaN());
+  ring->emit(EventType::NodeClose, 1, 12.5, static_cast<std::uint8_t>(NodeOutcome::Branched));
+  ring->emit(EventType::Incumbent, 1, 42.0);
+  ring->emit(EventType::Steal, 7, 2.0);
+  ring->close(EventType::SolveEnd, -1, 42.0, Clock::now());
+  const Trace trace = rec.trace();
   std::ostringstream os;
-  trace.write_jsonl(os);
+  const std::size_t written = trace.write_jsonl(os);
   const std::string out = os.str();
 
   EXPECT_NE(out.find("\"type\":\"solve_start\",\"worker\":3,\"workers\":4"),
             std::string::npos);
   EXPECT_NE(out.find("\"type\":\"phase\",\"worker\":3,\"phase\":\"root_lp\""),
             std::string::npos);
+  EXPECT_NE(out.find("\"type\":\"refactor\",\"worker\":3}"), std::string::npos);
+  EXPECT_EQ(out.find("ftran"), std::string::npos);
+  EXPECT_EQ(out.find("span_"), std::string::npos);
   EXPECT_NE(out.find("\"node\":1,\"parent_bound\":null"), std::string::npos);
   EXPECT_NE(out.find("\"outcome\":\"branched\",\"bound\":12.5"), std::string::npos);
   EXPECT_NE(out.find("\"node\":1,\"objective\":42"), std::string::npos);
   EXPECT_NE(out.find("\"node\":7,\"victim\":2"), std::string::npos);
-  // One object per line, every line closed.
+  EXPECT_NE(out.find("\"type\":\"solve_end\",\"worker\":3,\"objective\":42"),
+            std::string::npos);
+  // One object per line, every line closed; the six span records export as
+  // two lines (the phase and the refactor).
   std::istringstream lines(out);
   std::string line;
   std::size_t n = 0;
@@ -281,7 +274,8 @@ TEST(TraceTest, JsonlUsesDocumentedKeysAndNullForNonFinite) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
   }
-  EXPECT_EQ(n, trace.events.size());
+  EXPECT_EQ(n, written);
+  EXPECT_EQ(n, trace.records.size() - 4);
 }
 
 // ---------------------------------------------------------------------------

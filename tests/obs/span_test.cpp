@@ -1,8 +1,9 @@
-/// Unit tests for the hierarchical span profiler (obs/span.hpp): RAII
-/// nesting, cross-worker merge ordering, overflow accounting (including the
-/// milp.spans_dropped metric fed by solve_milp), the zero-cost disabled
-/// path, the Chrome trace-event export, the Prometheus exposition, and the
-/// per-pattern cost-attribution report on a real EPN encode.
+/// Unit tests for the spans of the record stream (obs/recorder.hpp): Region
+/// nesting, cross-worker merge ordering, the drop-newest overflow policy
+/// (including the per-solve milp.records_dropped delta across a reused
+/// recorder), the zero-cost disabled path, the Chrome trace-event export,
+/// the Prometheus exposition, and the per-pattern cost-attribution report on
+/// a real EPN encode.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,88 +16,91 @@
 #include "domains/epn.hpp"
 #include "milp/branch_bound.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/recorder.hpp"
 
 namespace archex::obs {
 namespace {
 
-TEST(SpanTest, NullAndDisabledBuffersAreNoOps) {
+TEST(SpanTest, NullRingIsANoOp) {
+  Region null_span(nullptr, span_id(SpanName::Ftran));
+  null_span.stop();  // must not crash
+  Recorder rec(/*capacity_per_worker=*/0);
   {
-    ScopedSpan null_span(nullptr, span_id(SpanName::Ftran));
-    null_span.stop();  // must not crash
+    const Region span(rec.main(), span_id(SpanName::Ftran));
   }
-  SpanBuffer unarmed;  // never init()ed: enabled() is false
-  EXPECT_FALSE(unarmed.enabled());
-  {
-    ScopedSpan span(&unarmed, span_id(SpanName::Ftran));
-  }
-  EXPECT_TRUE(unarmed.spans().empty());
-  EXPECT_EQ(unarmed.dropped(), 0);
+  EXPECT_TRUE(rec.main()->records().empty());
+  EXPECT_TRUE(rec.spans().empty());
 }
 
 TEST(SpanTest, NestedScopesRecordDepthAndContainment) {
-  SpanProfiler prof;
-  SpanBuffer* buf = prof.main();
-  ASSERT_NE(buf, nullptr);
+  Recorder rec;
+  Ring* ring = rec.main();
+  ASSERT_NE(ring, nullptr);
   {
-    ScopedSpan outer(buf, span_id(SpanName::Encode));
+    const Region outer(ring, span_id(SpanName::Encode));
     {
-      ScopedSpan inner(buf, span_id(SpanName::Presolve));
+      const Region inner(ring, span_id(SpanName::Presolve));
     }
     {
-      ScopedSpan inner2(buf, span_id(SpanName::Solve));
+      const Region inner2(ring, span_id(SpanName::Solve));
     }
   }
-  // Recorded at exit: children precede the parent in raw buffer order...
-  ASSERT_EQ(buf->spans().size(), 3u);
-  EXPECT_EQ(buf->spans()[0].name, span_id(SpanName::Presolve));
-  EXPECT_EQ(buf->spans()[2].name, span_id(SpanName::Encode));
-  // ...and collect() re-sorts so the parent comes first.
-  const SpanProfiler::Report rep = prof.collect();
-  ASSERT_EQ(rep.spans.size(), 3u);
-  EXPECT_EQ(rep.spans[0].name, span_id(SpanName::Encode));
-  EXPECT_EQ(rep.spans[0].depth, 0);
-  EXPECT_EQ(rep.spans[1].name, span_id(SpanName::Presolve));
-  EXPECT_EQ(rep.spans[1].depth, 1);
-  EXPECT_EQ(rep.spans[2].name, span_id(SpanName::Solve));
-  EXPECT_EQ(rep.spans[2].depth, 1);
-  // Containment: every child lies inside the parent's [t0, t1].
-  const SpanRecord& parent = rep.spans[0];
-  for (std::size_t i = 1; i < rep.spans.size(); ++i) {
-    EXPECT_GE(rep.spans[i].t0, parent.t0);
-    EXPECT_LE(rep.spans[i].t1, parent.t1);
+  // The ring holds begin/end records in program order...
+  const std::vector<Record>& raw = ring->records();
+  ASSERT_EQ(raw.size(), 6u);
+  EXPECT_EQ(raw[0].type, EventType::SpanBegin);
+  EXPECT_EQ(raw[0].id, span_id(SpanName::Encode));
+  EXPECT_EQ(raw[2].type, EventType::SpanEnd);
+  EXPECT_EQ(raw[2].id, span_id(SpanName::Presolve));
+  EXPECT_EQ(raw[5].type, EventType::SpanEnd);
+  EXPECT_EQ(raw[5].id, span_id(SpanName::Encode));
+  // ...and spans() pairs them, parent first, with nesting depth.
+  const std::vector<Recorder::Span> spans = rec.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].name, span_id(SpanName::Encode));
+  EXPECT_EQ(spans[0].depth, 0);
+  EXPECT_EQ(spans[1].name, span_id(SpanName::Presolve));
+  EXPECT_EQ(spans[1].depth, 1);
+  EXPECT_EQ(spans[2].name, span_id(SpanName::Solve));
+  EXPECT_EQ(spans[2].depth, 1);
+  // Containment: every child lies inside the parent's [ns0, ns1].
+  const Recorder::Span& parent = spans[0];
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_GE(spans[i].ns0, parent.ns0);
+    EXPECT_LE(spans[i].ns1, parent.ns1);
   }
 }
 
 TEST(SpanTest, StopClosesEarlyAndDestructorRecordsNothingFurther) {
-  SpanProfiler prof;
-  SpanBuffer* buf = prof.main();
+  Recorder rec;
+  Ring* ring = rec.main();
   {
-    ScopedSpan span(buf, span_id(SpanName::RootLp));
+    Region span(ring, span_id(SpanName::RootLp));
     span.stop();
-    ASSERT_EQ(buf->spans().size(), 1u);
+    ASSERT_EQ(ring->records().size(), 2u);
   }
-  EXPECT_EQ(buf->spans().size(), 1u);
+  EXPECT_EQ(ring->records().size(), 2u);
+  EXPECT_EQ(rec.spans().size(), 1u);
 }
 
-TEST(SpanTest, CollectMergesWorkersInStartTimeOrder) {
-  SpanProfiler prof;
-  prof.arm_workers(3);
-  ASSERT_EQ(prof.num_workers(), 3);
-  // Interleave spans across workers so no single buffer is globally ordered.
+TEST(SpanTest, SpansMergeWorkersInStartTimeOrder) {
+  Recorder rec;
+  rec.arm_workers(3);
+  ASSERT_EQ(rec.num_workers(), 3);
+  // Interleave spans across workers so no single ring is globally ordered.
   for (int round = 0; round < 2; ++round) {
     for (int w = 0; w < 3; ++w) {
-      ScopedSpan span(prof.buffer(w), span_id(SpanName::Ftran));
+      const Region span(rec.ring(w), span_id(SpanName::Ftran));
     }
   }
-  const SpanProfiler::Report rep = prof.collect();
-  ASSERT_EQ(rep.spans.size(), 6u);
-  for (std::size_t i = 1; i < rep.spans.size(); ++i) {
-    EXPECT_LE(rep.spans[i - 1].t0, rep.spans[i].t0) << "slot " << i;
+  const std::vector<Recorder::Span> spans = rec.spans();
+  ASSERT_EQ(spans.size(), 6u);
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_LE(spans[i - 1].ns0, spans[i].ns0) << "slot " << i;
   }
   // All three workers are represented with their own id.
   std::vector<int> seen(3, 0);
-  for (const SpanRecord& s : rep.spans) {
+  for (const Recorder::Span& s : spans) {
     ASSERT_GE(s.worker, 0);
     ASSERT_LT(s.worker, 3);
     ++seen[static_cast<std::size_t>(s.worker)];
@@ -105,47 +109,67 @@ TEST(SpanTest, CollectMergesWorkersInStartTimeOrder) {
 }
 
 TEST(SpanTest, OverflowDropsNewestAndCounts) {
-  SpanProfiler prof(/*capacity_per_worker=*/2);
-  SpanBuffer* buf = prof.main();
+  // Four slots: two closed spans fit (begin + end each), the rest drop.
+  Recorder rec(/*capacity_per_worker=*/4);
+  Ring* ring = rec.main();
   for (int i = 0; i < 5; ++i) {
-    ScopedSpan span(buf, span_id(SpanName::PriceRow));
+    const Region span(ring, span_id(SpanName::PriceRow));
   }
-  EXPECT_EQ(buf->spans().size(), 2u);  // oldest two kept (drop-newest)
-  EXPECT_EQ(prof.dropped(), 3);
+  EXPECT_EQ(ring->records().size(), 4u);  // oldest two spans kept (drop-newest)
+  EXPECT_EQ(rec.dropped(), 3);
   // take_dropped() hands out the delta exactly once.
-  EXPECT_EQ(prof.take_dropped(), 3);
-  EXPECT_EQ(prof.take_dropped(), 0);
+  EXPECT_EQ(rec.take_dropped(), 3);
+  EXPECT_EQ(rec.take_dropped(), 0);
+  ring->emit(EventType::NodeOpen, 1);  // point events obey the same policy
+  EXPECT_EQ(rec.take_dropped(), 1);
+  EXPECT_EQ(rec.dropped(), 4);  // the total, not the delta
+  EXPECT_EQ(rec.trace().dropped, 4);
+}
+
+TEST(SpanTest, OpenSpanHoldsRoomForItsEnd) {
+  // A begin is accepted only with room for its end, so nesting stays well
+  // formed however the ring fills: the outer span takes two of three slots
+  // (its begin and its held end), the inner span then cannot fit, a point
+  // event still can, and the outer end still lands.
+  Recorder rec(/*capacity_per_worker=*/3);
+  Ring* ring = rec.main();
   {
-    ScopedSpan span(buf, span_id(SpanName::PriceRow));
+    const Region outer(ring, span_id(SpanName::Tree));
+    const Region inner(ring, span_id(SpanName::Ftran));
+    ring->emit(EventType::NodeOpen, 1);
+    EXPECT_EQ(ring->records().size(), 2u);
   }
-  EXPECT_EQ(prof.take_dropped(), 1);
-  const SpanProfiler::Report rep = prof.collect();
-  EXPECT_EQ(rep.dropped, 4);  // collect() reports the total, not the delta
+  ASSERT_EQ(ring->records().size(), 3u);
+  EXPECT_EQ(ring->records()[1].type, EventType::NodeOpen);
+  EXPECT_EQ(ring->records()[2].type, EventType::SpanEnd);
+  EXPECT_EQ(ring->records()[2].id, span_id(SpanName::Tree));
+  EXPECT_EQ(rec.dropped(), 1);  // the inner span; the point event fit
 }
 
 TEST(SpanTest, InternIsIdempotentAndPreInternsEnumNames) {
-  SpanProfiler prof;
+  Recorder rec;
   // The enum value is the id for every fixed name.
   for (std::int32_t i = 0; i < span_id(SpanName::kCount); ++i) {
-    EXPECT_EQ(prof.name_of(i), to_string(static_cast<SpanName>(i)));
+    EXPECT_EQ(rec.name_of(i), to_string(static_cast<SpanName>(i)));
   }
-  const std::int32_t a = prof.intern("cannot_connect(A, B)");
-  const std::int32_t b = prof.intern("cannot_connect(A, B)");
+  const std::int32_t a = rec.intern("cannot_connect(A, B)");
+  const std::int32_t b = rec.intern("cannot_connect(A, B)");
   EXPECT_EQ(a, b);
   EXPECT_GE(a, span_id(SpanName::kCount));
-  EXPECT_EQ(prof.name_of(a), "cannot_connect(A, B)");
-  EXPECT_EQ(prof.name_of(9999), "?");
+  EXPECT_EQ(rec.name_of(a), "cannot_connect(A, B)");
+  EXPECT_EQ(rec.name_of(9999), "?");
 }
 
 TEST(SpanTest, DisabledSpansAreEffectivelyFree) {
-  // 1M disabled spans must complete in far less than the time even a single
-  // clock read per span would cost. The generous bound (1s) keeps the test
-  // meaningful without being flaky on loaded CI machines: 1M clock-reading
-  // spans take well over 1s only when the disabled path is broken enough to
-  // actually read clocks; a null test per span finishes in ~ms.
+  // 1M disabled regions must complete in far less than the time even a
+  // single clock read per region would cost. The generous bound (1s) keeps
+  // the test meaningful without being flaky on loaded CI machines: 1M
+  // clock-reading regions take well over 1s only when the disabled path is
+  // broken enough to actually read clocks; a null test per region finishes
+  // in ~ms.
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 1'000'000; ++i) {
-    ScopedSpan span(nullptr, span_id(SpanName::Ftran));
+    const Region span(nullptr, span_id(SpanName::Ftran));
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -153,14 +177,15 @@ TEST(SpanTest, DisabledSpansAreEffectivelyFree) {
 }
 
 TEST(SpanTest, ChromeTraceExportIsWellFormed) {
-  SpanProfiler prof;
-  prof.arm_workers(2);
+  Recorder rec;
+  rec.arm_workers(2);
   {
-    ScopedSpan outer(prof.main(), span_id(SpanName::Solve));
-    ScopedSpan inner(prof.buffer(1), span_id(SpanName::Ftran));
+    const Region outer(rec.main(), span_id(SpanName::Solve));
+    const Region inner(rec.ring(1), span_id(SpanName::Ftran));
+    rec.main()->emit(EventType::NodeOpen, 1);  // point events stay out
   }
   std::ostringstream os;
-  prof.write_chrome_trace(os);
+  rec.write_chrome_trace(os);
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.find_last_not_of('\n'), json.size() - 2);
@@ -171,13 +196,15 @@ TEST(SpanTest, ChromeTraceExportIsWellFormed) {
   EXPECT_NE(json.find("\"name\":\"solve\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"ftran\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
+  EXPECT_EQ(json.find("node_open"), std::string::npos);
   EXPECT_NE(json.find("\"spans_dropped\":0"), std::string::npos);
 }
 
-TEST(SpanTest, SolveMilpRecordsPhasesAndCountsDroppedSpans) {
+TEST(SpanTest, SolveMilpCountsDroppedRecordsPerSolve) {
   using namespace archex::milp;
-  // Tiny binary model, solved with a deliberately tiny span capacity so the
-  // overflow accounting path is exercised end to end.
+  // Tiny binary model, solved twice into one deliberately tiny recorder so
+  // the overflow accounting path is exercised end to end: each solve's
+  // `milp.records_dropped` is its own delta, not the recorder's total.
   Model m;
   LinExpr obj;
   LinExpr row;
@@ -189,28 +216,30 @@ TEST(SpanTest, SolveMilpRecordsPhasesAndCountsDroppedSpans) {
   m.add_constraint(std::move(row), Sense::GE, 3.0);
   m.set_objective(obj, ObjectiveSense::Minimize);
 
-  SpanProfiler prof(/*capacity_per_worker=*/4);
+  Recorder rec(/*capacity_per_worker=*/4);
   MilpOptions opts;
   opts.num_threads = 1;
-  opts.profiler = &prof;
-  opts.lp.span_sample = 1;  // record every pivot: guarantees overflow
-  const Solution sol = solve_milp(m, opts);
-  EXPECT_EQ(sol.status, SolveStatus::Optimal);
+  opts.recorder = &rec;
+  const Solution first = solve_milp(m, opts);
+  EXPECT_EQ(first.status, SolveStatus::Optimal);
+  EXPECT_GT(rec.spans().size(), 0u);
+  const std::int64_t after_first = rec.dropped();
+  EXPECT_GT(after_first, 0);
+  EXPECT_EQ(first.metrics.at("milp.records_dropped"), static_cast<double>(after_first));
 
-  const SpanProfiler::Report rep = prof.collect();
-  EXPECT_GT(rep.spans.size(), 0u);
-  EXPECT_GT(rep.dropped, 0);
-  const auto it = sol.metrics.find("milp.spans_dropped");
-  ASSERT_NE(it, sol.metrics.end());
-  EXPECT_GT(it->second, 0.0);
+  const Solution second = solve_milp(m, opts);
+  EXPECT_EQ(second.status, SolveStatus::Optimal);
+  EXPECT_GT(rec.dropped(), after_first);
+  EXPECT_EQ(second.metrics.at("milp.records_dropped"),
+            static_cast<double>(rec.dropped() - after_first));
 }
 
 TEST(SpanTest, ParallelSolveRecordsSpansFromMultipleWorkers) {
   using namespace archex::milp;
-  // A tree big enough that both pool workers run node LPs, with per-pivot
-  // kernel sampling: each worker writes its own buffer concurrently, which
-  // is exactly what the tsan CI slice needs to see (single-writer
-  // discipline — arm before spawn, collect after join).
+  // A tree big enough that both pool workers run node LPs: each worker
+  // writes its own ring concurrently, which is exactly what the tsan CI
+  // slice needs to see (single-writer discipline — arm before spawn, export
+  // after join).
   Model m;
   std::mt19937 rng(5);
   std::uniform_int_distribution<int> w(10, 30);
@@ -226,17 +255,15 @@ TEST(SpanTest, ParallelSolveRecordsSpansFromMultipleWorkers) {
   m.add_constraint(std::move(tw), Sense::LE, 0.5 * cap);
   m.set_objective(tv, ObjectiveSense::Maximize);
 
-  SpanProfiler prof;
+  Recorder rec;
   MilpOptions opts;
   opts.num_threads = 2;
-  opts.profiler = &prof;
-  opts.lp.span_sample = 1;
+  opts.recorder = &rec;
   const Solution sol = solve_milp(m, opts);
   EXPECT_EQ(sol.status, SolveStatus::Optimal);
-  EXPECT_GE(prof.num_workers(), 2);
-  const SpanProfiler::Report rep = prof.collect();
+  EXPECT_GE(rec.num_workers(), 2);
   bool worker1 = false;
-  for (const SpanRecord& s : rep.spans) worker1 |= s.worker == 1;
+  for (const Recorder::Span& s : rec.spans()) worker1 |= s.worker == 1;
   EXPECT_TRUE(worker1) << "no spans from pool worker 1";
 }
 
@@ -266,10 +293,10 @@ TEST(MetricsTest, SnapshotAndPrometheusExposeTimerMax) {
 
 TEST(PerfReportTest, EpnEncodeAttributionIsNearComplete) {
   using namespace archex::domains::epn;
-  SpanProfiler prof;
+  Recorder rec;
   EpnConfig cfg = small_config();
   cfg.reliability_eager = false;  // keep the solve cheap; encode is the point
-  auto problem = make_problem(cfg, &prof);
+  auto problem = make_problem(cfg, &rec);
 
   // Every encode path charges a named label, so attribution is complete.
   const PerfReport pre = build_perf_report(*problem, milp::Solution{});
@@ -280,13 +307,13 @@ TEST(PerfReportTest, EpnEncodeAttributionIsNearComplete) {
   for (const PatternCostRow& r : pre.rows) structural |= r.label == "structural";
   EXPECT_TRUE(structural);
 
-  // And the profiler saw the same pattern applications as nested spans
-  // under "encode".
-  const SpanProfiler::Report rep = prof.collect();
-  ASSERT_FALSE(rep.spans.empty());
-  EXPECT_EQ(rep.spans[0].name, span_id(SpanName::Encode));
+  // And the recorder saw the structural encode first, then one span per
+  // pattern application.
+  const std::vector<Recorder::Span> spans = rec.spans();
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans[0].name, span_id(SpanName::Encode));
   std::size_t pattern_spans = 0;
-  for (const SpanRecord& s : rep.spans) {
+  for (const Recorder::Span& s : spans) {
     if (s.name >= span_id(SpanName::kCount)) ++pattern_spans;
   }
   EXPECT_EQ(pattern_spans, problem->num_patterns_applied());
