@@ -99,6 +99,11 @@ build/examples/milp_solve build/epn_ci_model.lp --threads=4 --certify \
 python3 tools/validate_trace.py build/epn_ci_trace.jsonl --min-workers=2
 python3 tools/validate_trace.py --chrome build/epn_ci_trace_profile.json \
   --require=presolve,root_lp,heuristic,tree,ftran,refactor
+# The LP relaxation of the same model, traced: one solve_start / solve_end
+# pair around the kernel's refactor events, and no tree events.
+build/examples/milp_solve build/epn_ci_model.lp --lp-relaxation --certify \
+  --trace-json=build/epn_ci_lp_trace.jsonl > /dev/null
+python3 tools/validate_trace.py --lp build/epn_ci_lp_trace.jsonl
 
 echo "=== observability: span profile + per-pattern cost attribution ==="
 # The same model solved with the span profiler attached: the Chrome trace

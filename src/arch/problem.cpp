@@ -294,7 +294,7 @@ ExplorationResult Problem::solve(const milp::MilpOptions& options) {
   CompiledModel cm = [&] {
     const obs::Region compile_region(
         opts.recorder != nullptr ? opts.recorder->main() : nullptr,
-        obs::span_id(obs::SpanName::Formulate), &opts.metrics->timer("arch.compile"),
+        obs::span_id(obs::SpanName::Compile), &opts.metrics->timer("arch.compile"),
         &compile_seconds);
     model_.set_objective(cost_expression(), milp::ObjectiveSense::Minimize);
     return compile(*this);

@@ -1,6 +1,7 @@
 #include "milp/basis_lu.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -10,6 +11,20 @@ namespace {
 
 constexpr double kSingularTol = 1e-11;  // same floor as the dense Gauss-Jordan
 constexpr int kMarkowitzCandidates = 4;  // columns examined per pivot step
+// Solve results and spikes below this magnitude are cancellation residue:
+// kept, they spread through every later solve and pricing pass.
+constexpr double kTiny = 1e-14;
+
+/// dst := src with entries below kTiny set to zero.
+void copy_dropping_tiny(const std::vector<double>& src, std::vector<double>& dst) {
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    dst[i] = std::abs(src[i]) < kTiny ? 0.0 : src[i];
+  }
+}
+
+// A Forrest–Tomlin update whose new diagonal strays further than this
+// (relative) from w[r] * old diagonal marks the factors inaccurate.
+constexpr double kFtAccuracyTol = 1e-8;
 
 // ---------------------------------------------------------------------------
 // Dense kernel: the original explicit inverse, moved behind BasisRep.
@@ -108,7 +123,7 @@ class DenseBasis final : public BasisRep {
     }
   }
 
-  [[nodiscard]] bool fill_heavy() const override { return false; }
+  [[nodiscard]] bool growth_exceeded() const override { return false; }
   [[nodiscard]] std::shared_ptr<const FactorState> snapshot() const override {
     return nullptr;
   }
@@ -135,39 +150,32 @@ class SparseLuBasis final : public BasisRep {
         eta_fill_factor_(eta_fill_factor),
         lu_(std::make_shared<const LuData>()),
         solve_scratch_(m, 0.0),
-        tk_scratch_(m, 0.0) {}
+        spike_(m, 0.0),
+        eta_scratch_(m, 0.0),
+        pos_scratch_(m, 0.0) {}
 
   bool factorize(const std::int32_t* col_start, const ColEntry* col_ent,
                  const std::vector<std::int32_t>& basic) override;
   void ftran(std::vector<double>& x) const override;
+  void ftran_entering(std::vector<double>& x) override;
   void btran(std::vector<double>& x) const override;
-
+  void btran_unit(std::size_t r, std::vector<double>& x) const override;
   void update(const std::vector<double>& w, std::size_t r,
-              const std::vector<std::int32_t>& wnz) override {
-    etas_.pos.push_back(static_cast<std::int32_t>(r));
-    etas_.pivot.push_back(w[r]);
-    etas_.inv_pivot.push_back(1.0 / w[r]);
-    for (const std::int32_t i : wnz) {
-      if (static_cast<std::size_t>(i) != r) {
-        etas_.ent.push_back({i, w[static_cast<std::size_t>(i)]});
-      }
-    }
-    etas_.start.push_back(static_cast<std::int32_t>(etas_.ent.size()));
-  }
+              const std::vector<std::int32_t>& wnz) override;
 
-  [[nodiscard]] bool fill_heavy() const override {
-    // Refactorize early once the eta file dwarfs the factors themselves:
-    // each eta is applied to every subsequent ftran/btran, so past this
-    // point replaying updates costs more than a fresh factorization.
-    return etas_.count() > 0 &&
-           static_cast<double>(etas_.nnz()) >
-               eta_fill_factor_ * static_cast<double>(lu_->nnz());
+  [[nodiscard]] bool growth_exceeded() const override {
+    // Refactorize early once the updates' spikes and row etas outgrow the
+    // factors (every solve pays for them), or an update lost accuracy.
+    return ft_.inaccurate ||
+           (ft_.count() > 0 &&
+            static_cast<double>(ft_.nnz()) >
+                eta_fill_factor_ * static_cast<double>(lu_->nnz()));
   }
 
   [[nodiscard]] std::shared_ptr<const FactorState> snapshot() const override {
     auto s = std::make_shared<FactorState>();
     s->lu = lu_;
-    s->etas = etas_;
+    s->updates = ft_;
     return s;
   }
 
@@ -176,21 +184,102 @@ class SparseLuBasis final : public BasisRep {
       return false;
     }
     lu_ = state->lu;
-    etas_ = state->etas;
+    ft_ = state->updates;
+    spike_valid_ = false;
+    unit_pos_ = -1;
+    index_slots();
     return true;
   }
 
   [[nodiscard]] const char* name() const override { return "sparse-lu"; }
 
  private:
+  // U in pivot order is a run of slots: the factors' m slots (slot k =
+  // pivot k), then one slot per update (slot m + u). A slot has a row, a
+  // position, a diagonal and a column; it dies when an update re-pivots its
+  // position. Entries an update superseded stay in the pooled storage:
+  // a dead slot is skipped whole, a factor-row entry in a replaced column is
+  // skipped by `col_replaced_`, and a spike entry on a row that later moved
+  // is older than the row's `row_moved_at_`. Stale column entries
+  // need no mark: ftran's back substitution only subtracts them from rows it
+  // has already consumed.
+
+  /// x := R_k ... R_1 L^-1 x on a row-indexed vector.
+  void lower_solve(std::vector<double>& x) const;
+  /// x := U^-1 x: row-indexed in, position-indexed out.
+  void upper_solve(std::vector<double>& x) const;
+  /// z[row] := x[pos] / diag for the live slots in pivot order, subtracting
+  /// each row of U times z[row] from the position-indexed x: U^T z = x in
+  /// scatter form, skipping rows whose z is zero.
+  void upper_t_solve(double* x, double* z) const;
+  /// upper_t_solve for a right-hand side that is zero outside slot `from`'s
+  /// position: visits only the slots U's rows reach from it (left in
+  /// reach_, ascending), writes z on their rows only, and leaves x all zero.
+  void upper_t_solve_unit(std::size_t from, double* x, double* z) const;
+  /// z := L^-T R_1^T ... R_k^T z, the rest of btran after the U^T solve.
+  void btran_tail(std::vector<double>& z) const;
+  /// x[position] -= t * U(row of slot s, position) over the row's live
+  /// off-diagonal entries.
+  void scatter_row(std::size_t s, double t, double* x) const;
+  /// Registers update u in the slot index.
+  void index_update(std::size_t u);
+  /// Rebuilds the slot index from the factors and the update file.
+  void index_slots();
+  /// Markowitz elimination of the basis into fresh factors; false (factors
+  /// unchanged) on a singular basis.
+  bool eliminate(const std::int32_t* col_start, const ColEntry* col_ent,
+                 const std::vector<std::int32_t>& basic);
+
   std::size_t m_;
   double markowitz_tol_;
   double eta_fill_factor_;
   std::shared_ptr<const LuData> lu_;
-  EtaFile etas_;
+  FtFile ft_;
 
-  mutable std::vector<double> solve_scratch_;  ///< U-solve / L^T-solve output
-  mutable std::vector<double> tk_scratch_;     ///< per-pivot temporaries
+  // Slot index over lu_ + ft_ (rebuilt on factorize/adopt, extended per
+  // update; never part of a snapshot).
+  std::vector<std::uint8_t> dead_;          ///< per slot: factors' m, then updates
+  std::vector<std::int32_t> slot_of_pos_;   ///< live slot of each basis position
+  std::vector<std::uint8_t> col_replaced_;  ///< per position: factor column superseded
+  /// Spike entries by row, pooled: one list per row, newest update first.
+  struct SpikeLink {
+    std::int32_t update;
+    std::int32_t next;  ///< -1 ends the list
+    double val;
+  };
+  std::vector<SpikeLink> spike_links_;
+  std::vector<std::int32_t> spike_head_;    ///< per row: first link, -1 none
+  std::vector<std::int32_t> row_moved_at_;  ///< per row: update that last moved it, -1 none
+  /// Calls f(update, value) for row's live spike entries: those newer than
+  /// the row's last move, in columns no later update replaced.
+  template <class F>
+  void for_row_spikes(std::size_t row, F f) const {
+    const std::int32_t moved = row_moved_at_[row];
+    for (std::int32_t l = spike_head_[row]; l >= 0;) {
+      const SpikeLink& e = spike_links_[static_cast<std::size_t>(l)];
+      if (e.update <= moved) break;
+      if (dead_[m_ + static_cast<std::size_t>(e.update)] == 0) {
+        f(static_cast<std::size_t>(e.update), e.val);
+      }
+      l = e.next;
+    }
+  }
+
+  mutable std::vector<double> solve_scratch_;  ///< U-solve / U^T-solve output
+  std::vector<double> spike_;        ///< entering column after L and the row etas
+  std::vector<std::int32_t> spike_nz_;  ///< rows where spike_ is nonzero, ascending
+  bool spike_valid_ = false;         ///< spike_ belongs to the current factors
+  std::vector<double> eta_scratch_;  ///< row-indexed work of update()
+  /// Position of the last btran_unit() since the factors changed (-1 none)
+  /// and its U^T solve on the reached slots' rows, in pivot order.
+  mutable std::int32_t unit_pos_ = -1;
+  mutable std::vector<ColEntry> unit_z_;
+  /// Position-indexed work of the unit U^T solves; all zero between them.
+  mutable std::vector<double> pos_scratch_;
+  // upper_t_solve_unit(): the slots a unit right-hand side reaches.
+  mutable std::vector<std::int32_t> reach_;
+  mutable std::vector<std::int32_t> reach_mark_;  ///< per slot: stamp of last visit
+  mutable std::int32_t reach_stamp_ = 0;
 
   // Factorization workspace (reused across refactorizations).
   std::vector<std::vector<ColEntry>> wcols_;      ///< working columns (active rows)
@@ -231,7 +320,16 @@ class SparseLuBasis final : public BasisRep {
 
 bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col_ent,
                               const std::vector<std::int32_t>& basic) {
-  etas_.clear();
+  ft_.clear();
+  spike_valid_ = false;
+  unit_pos_ = -1;
+  const bool ok = eliminate(col_start, col_ent, basic);
+  index_slots();  // a failed elimination keeps the previous factors
+  return ok;
+}
+
+bool SparseLuBasis::eliminate(const std::int32_t* col_start, const ColEntry* col_ent,
+                              const std::vector<std::int32_t>& basic) {
   auto lu = std::make_shared<LuData>();
   lu->m = m_;
   if (m_ == 0) {
@@ -241,7 +339,7 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
   // Size the fresh factor arrays off the previous factorization so the
   // push_back growth below rarely reallocates mid-elimination.
   lu->l_ent.reserve(lu_->l_ent.size() + 16);
-  lu->u_ent.reserve(lu_->u_ent.size() + 16);
+  lu->ur_ent.reserve(lu_->ur_ent.size() + 16);
 
   // Working copy of the basis matrix, column-wise by basis position, plus a
   // row-wise pattern of positions. Invariant: wcols_ holds exactly the
@@ -287,8 +385,7 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
   lu->pivot_pos.resize(m_);
   lu->u_diag.resize(m_);
   lu->u_diag_inv.resize(m_);
-  lu->l_start.assign(1, 0);
-  lu->u_start.assign(1, 0);
+  lu->ur_start.assign(1, 0);
 
   std::vector<std::int32_t> lrows;
   std::vector<double> lvals;
@@ -375,7 +472,7 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
       }
       if (wstamp_[prow] != stamp_) continue;  // stale pattern entry: skip
       const double uq = wval_[prow];
-      lu->u_ent.push_back({q32, uq});
+      lu->ur_ent.push_back({q32, uq});
       fills.clear();
       for (std::size_t t = 0; t < lrows.size(); ++t) {
         const std::size_t i = static_cast<std::size_t>(lrows[t]);
@@ -418,103 +515,327 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
     lu->pivot_pos[static_cast<std::size_t>(k)] = static_cast<std::int32_t>(ppos);
     lu->u_diag[static_cast<std::size_t>(k)] = pval;
     lu->u_diag_inv[static_cast<std::size_t>(k)] = 1.0 / pval;
-    for (std::size_t t = 0; t < lrows.size(); ++t) {
-      lu->l_ent.push_back({lrows[t], lvals[t]});
+    if (!lrows.empty()) {
+      lu->l_row.push_back(static_cast<std::int32_t>(prow));
+      for (std::size_t t = 0; t < lrows.size(); ++t) {
+        lu->l_ent.push_back({lrows[t], lvals[t]});
+      }
+      lu->l_start.push_back(static_cast<std::int32_t>(lu->l_ent.size()));
     }
-    lu->l_start.push_back(static_cast<std::int32_t>(lu->l_ent.size()));
-    lu->u_start.push_back(static_cast<std::int32_t>(lu->u_ent.size()));
+    lu->ur_start.push_back(static_cast<std::int32_t>(lu->ur_ent.size()));
     pos_done[ppos] = 1;
     bkt_unlink(best_pos);
     wcols_[ppos].clear();
     rpat_[prow].clear();
   }
 
+  // The column-wise copy of U: row k's entry at position q goes to the
+  // column of q's pivot as (pivot row of k, value).
+  std::vector<std::int32_t>& pivot_of_pos = row_count_;  // free after elimination
+  for (std::size_t k = 0; k < m_; ++k) {
+    pivot_of_pos[static_cast<std::size_t>(lu->pivot_pos[k])] = static_cast<std::int32_t>(k);
+  }
+  lu->u_start.assign(m_ + 1, 0);
+  for (const ColEntry& e : lu->ur_ent) {
+    ++lu->u_start[static_cast<std::size_t>(pivot_of_pos[static_cast<std::size_t>(e.row)]) + 1];
+  }
+  for (std::size_t k = 0; k < m_; ++k) lu->u_start[k + 1] += lu->u_start[k];
+  lu->u_ent.resize(lu->ur_ent.size());
+  std::vector<std::int32_t> fill_at(lu->u_start.begin(), lu->u_start.end() - 1);
+  for (std::size_t k = 0; k < m_; ++k) {
+    for (std::int32_t t = lu->ur_start[k]; t < lu->ur_start[k + 1]; ++t) {
+      const ColEntry& e = lu->ur_ent[static_cast<std::size_t>(t)];
+      const auto col = static_cast<std::size_t>(pivot_of_pos[static_cast<std::size_t>(e.row)]);
+      lu->u_ent[static_cast<std::size_t>(fill_at[col]++)] = {lu->pivot_row[k], e.val};
+    }
+  }
+
   lu_ = std::move(lu);
   return true;
 }
 
-void SparseLuBasis::ftran(std::vector<double>& x) const {
+void SparseLuBasis::index_update(std::size_t u) {
+  const auto r = static_cast<std::size_t>(ft_.pos[u]);
+  dead_[static_cast<std::size_t>(slot_of_pos_[r])] = 1;
+  slot_of_pos_[r] = static_cast<std::int32_t>(m_ + u);
+  col_replaced_[r] = 1;
+  // The row moved past every earlier spike: its entries there are gone.
+  const auto row = static_cast<std::size_t>(ft_.row[u]);
+  row_moved_at_[row] = static_cast<std::int32_t>(u);
+  for (std::int32_t t = ft_.col_start[u]; t < ft_.col_start[u + 1]; ++t) {
+    const ColEntry& e = ft_.col_ent[static_cast<std::size_t>(t)];
+    const auto i = static_cast<std::size_t>(e.row);
+    spike_links_.push_back({static_cast<std::int32_t>(u), spike_head_[i], e.val});
+    spike_head_[i] = static_cast<std::int32_t>(spike_links_.size() - 1);
+  }
+}
+
+void SparseLuBasis::index_slots() {
   const LuData& lu = *lu_;
-  // L pass, in pivot order, on the row-indexed input.
-  for (std::size_t k = 0; k < m_; ++k) {
-    const double xk = x[static_cast<std::size_t>(lu.pivot_row[k])];
+  dead_.assign(m_ + ft_.pos.size(), 0);
+  slot_of_pos_.resize(m_);
+  for (std::size_t k = 0; k < lu.pivot_pos.size(); ++k) {
+    slot_of_pos_[static_cast<std::size_t>(lu.pivot_pos[k])] = static_cast<std::int32_t>(k);
+  }
+  col_replaced_.assign(m_, 0);
+  spike_links_.clear();
+  spike_head_.assign(m_, -1);
+  row_moved_at_.assign(m_, -1);
+  for (std::size_t u = 0; u < ft_.pos.size(); ++u) index_update(u);
+}
+
+void SparseLuBasis::lower_solve(std::vector<double>& x) const {
+  const LuData& lu = *lu_;
+  // L etas in pivot order.
+  for (std::size_t j = 0; j < lu.l_row.size(); ++j) {
+    const double xk = x[static_cast<std::size_t>(lu.l_row[j])];
     if (xk == 0.0) continue;
-    const std::int32_t b = lu.l_start[k];
-    const std::int32_t e = lu.l_start[k + 1];
-    for (std::int32_t t = b; t < e; ++t) {
-      x[static_cast<std::size_t>(lu.l_ent[static_cast<std::size_t>(t)].row)] -=
-          lu.l_ent[static_cast<std::size_t>(t)].val * xk;
+    for (std::int32_t t = lu.l_start[j]; t < lu.l_start[j + 1]; ++t) {
+      const ColEntry& en = lu.l_ent[static_cast<std::size_t>(t)];
+      x[static_cast<std::size_t>(en.row)] -= en.val * xk;
     }
   }
-  // U back-substitution, producing the position-indexed result.
+  // Row etas, oldest first.
+  for (std::size_t u = 0; u < ft_.pos.size(); ++u) {
+    double s = 0.0;
+    for (std::int32_t t = ft_.eta_start[u]; t < ft_.eta_start[u + 1]; ++t) {
+      const ColEntry& en = ft_.eta_ent[static_cast<std::size_t>(t)];
+      s += en.val * x[static_cast<std::size_t>(en.row)];
+    }
+    x[static_cast<std::size_t>(ft_.row[u])] += s;
+  }
+}
+
+void SparseLuBasis::upper_solve(std::vector<double>& x) const {
+  // Back substitution in scatter form over the columns, last slot first.
+  const LuData& lu = *lu_;
   std::vector<double>& y = solve_scratch_;
-  for (std::size_t kk = m_; kk-- > 0;) {
-    double t = x[static_cast<std::size_t>(lu.pivot_row[kk])];
-    const std::int32_t b = lu.u_start[kk];
-    const std::int32_t e = lu.u_start[kk + 1];
-    for (std::int32_t s = b; s < e; ++s) {
-      const ColEntry& en = lu.u_ent[static_cast<std::size_t>(s)];
-      t -= en.val * y[static_cast<std::size_t>(en.row)];  // en.row is a position
+  for (std::size_t u = ft_.pos.size(); u-- > 0;) {
+    if (dead_[m_ + u] != 0) continue;
+    const double v = x[static_cast<std::size_t>(ft_.row[u])] * ft_.diag_inv[u];
+    y[static_cast<std::size_t>(ft_.pos[u])] = v;
+    if (v == 0.0) continue;
+    for (std::int32_t t = ft_.col_start[u]; t < ft_.col_start[u + 1]; ++t) {
+      const ColEntry& en = ft_.col_ent[static_cast<std::size_t>(t)];
+      x[static_cast<std::size_t>(en.row)] -= en.val * v;
     }
-    y[static_cast<std::size_t>(lu.pivot_pos[kk])] = t * lu.u_diag_inv[kk];
   }
-  std::copy(y.begin(), y.end(), x.begin());
-  // Eta replay, oldest first: x := E_k^-1 ... E_1^-1 x.
-  const int ne = etas_.count();
-  for (int k = 0; k < ne; ++k) {
-    const std::size_t r = static_cast<std::size_t>(etas_.pos[static_cast<std::size_t>(k)]);
-    const double t = x[r] * etas_.inv_pivot[static_cast<std::size_t>(k)];
-    x[r] = t;
-    if (t == 0.0) continue;
-    const std::int32_t b = etas_.start[static_cast<std::size_t>(k)];
-    const std::int32_t e = etas_.start[static_cast<std::size_t>(k) + 1];
-    for (std::int32_t s = b; s < e; ++s) {
-      const ColEntry& en = etas_.ent[static_cast<std::size_t>(s)];
-      x[static_cast<std::size_t>(en.row)] -= en.val * t;
+  for (std::size_t k = lu.pivot_row.size(); k-- > 0;) {
+    if (dead_[k] != 0) continue;
+    const double v = x[static_cast<std::size_t>(lu.pivot_row[k])] * lu.u_diag_inv[k];
+    y[static_cast<std::size_t>(lu.pivot_pos[k])] = v;
+    if (v == 0.0) continue;
+    for (std::int32_t t = lu.u_start[k]; t < lu.u_start[k + 1]; ++t) {
+      const ColEntry& en = lu.u_ent[static_cast<std::size_t>(t)];
+      x[static_cast<std::size_t>(en.row)] -= en.val * v;
     }
+  }
+  copy_dropping_tiny(y, x);
+}
+
+void SparseLuBasis::scatter_row(std::size_t s, double t, double* x) const {
+  const LuData& lu = *lu_;
+  std::size_t row;
+  if (s < m_) {
+    for (std::int32_t e = lu.ur_start[s]; e < lu.ur_start[s + 1]; ++e) {
+      const ColEntry& en = lu.ur_ent[static_cast<std::size_t>(e)];
+      if (col_replaced_[static_cast<std::size_t>(en.row)] == 0) {
+        x[en.row] -= en.val * t;
+      }
+    }
+    row = static_cast<std::size_t>(lu.pivot_row[s]);
+  } else {
+    row = static_cast<std::size_t>(ft_.row[s - m_]);
+  }
+  for_row_spikes(row, [&](std::size_t u, double val) { x[ft_.pos[u]] -= val * t; });
+}
+
+void SparseLuBasis::upper_t_solve(double* x, double* z) const {
+  const LuData& lu = *lu_;
+  for (std::size_t k = 0; k < m_; ++k) {
+    if (dead_[k] != 0) continue;
+    const double t = x[lu.pivot_pos[k]] * lu.u_diag_inv[k];
+    z[lu.pivot_row[k]] = t;
+    if (t != 0.0) scatter_row(k, t, x);
+  }
+  for (std::size_t u = 0; u < ft_.pos.size(); ++u) {
+    if (dead_[m_ + u] != 0) continue;
+    const double t = x[ft_.pos[u]] * ft_.diag_inv[u];
+    z[ft_.row[u]] = t;
+    if (t != 0.0) scatter_row(m_ + u, t, x);
+  }
+}
+
+void SparseLuBasis::upper_t_solve_unit(std::size_t from, double* x, double* z) const {
+  const LuData& lu = *lu_;
+  if (reach_mark_.size() < dead_.size()) reach_mark_.resize(dead_.size(), 0);
+  if (++reach_stamp_ == std::numeric_limits<std::int32_t>::max()) {
+    std::fill(reach_mark_.begin(), reach_mark_.end(), 0);
+    reach_stamp_ = 1;
+  }
+  auto visit = [&](std::size_t t) {
+    if (reach_mark_[t] == reach_stamp_) return;
+    reach_mark_[t] = reach_stamp_;
+    reach_.push_back(static_cast<std::int32_t>(t));
+  };
+  // Depth-first along U's rows over a stack kept in reach_ itself: [0, top)
+  // is visited, [top, size) waits. Pivot order is a topological order, so
+  // sorting the visited set replaces post-order bookkeeping.
+  reach_.clear();
+  visit(from);
+  for (std::size_t top = 0; top < reach_.size(); ++top) {
+    const auto s = static_cast<std::size_t>(reach_[top]);
+    std::size_t row;
+    if (s < m_) {
+      for (std::int32_t e = lu.ur_start[s]; e < lu.ur_start[s + 1]; ++e) {
+        const auto q = static_cast<std::size_t>(lu.ur_ent[static_cast<std::size_t>(e)].row);
+        if (col_replaced_[q] == 0) visit(static_cast<std::size_t>(slot_of_pos_[q]));
+      }
+      row = static_cast<std::size_t>(lu.pivot_row[s]);
+    } else {
+      row = static_cast<std::size_t>(ft_.row[s - m_]);
+    }
+    for_row_spikes(row, [&](std::size_t u, double /*val*/) { visit(m_ + u); });
+  }
+  std::sort(reach_.begin(), reach_.end());
+  for (const std::int32_t s32 : reach_) {
+    const auto s = static_cast<std::size_t>(s32);
+    const bool f = s < m_;
+    const std::size_t u = s - m_;
+    const double t = x[f ? lu.pivot_pos[s] : ft_.pos[u]] * (f ? lu.u_diag_inv[s] : ft_.diag_inv[u]);
+    z[f ? lu.pivot_row[s] : ft_.row[u]] = t;
+    if (t != 0.0) scatter_row(s, t, x);
+  }
+  // Every position written above belongs to a reached slot: clear them.
+  for (const std::int32_t s32 : reach_) {
+    const auto s = static_cast<std::size_t>(s32);
+    x[s < m_ ? lu.pivot_pos[s] : ft_.pos[s - m_]] = 0.0;
+  }
+}
+
+void SparseLuBasis::ftran(std::vector<double>& x) const {
+  lower_solve(x);
+  upper_solve(x);
+}
+
+void SparseLuBasis::ftran_entering(std::vector<double>& x) {
+  lower_solve(x);
+  spike_nz_.clear();
+  for (std::size_t i = 0; i < m_; ++i) {
+    const double v = std::abs(x[i]) < kTiny ? 0.0 : x[i];
+    spike_[i] = v;
+    if (v != 0.0) spike_nz_.push_back(static_cast<std::int32_t>(i));
+  }
+  spike_valid_ = true;
+  upper_solve(x);
+}
+
+void SparseLuBasis::btran_tail(std::vector<double>& z) const {
+  // Row eta transposes, newest first.
+  for (std::size_t u = ft_.pos.size(); u-- > 0;) {
+    const double t = z[static_cast<std::size_t>(ft_.row[u])];
+    if (t == 0.0) continue;
+    for (std::int32_t e = ft_.eta_start[u]; e < ft_.eta_start[u + 1]; ++e) {
+      const ColEntry& en = ft_.eta_ent[static_cast<std::size_t>(e)];
+      z[static_cast<std::size_t>(en.row)] += en.val * t;
+    }
+  }
+  // L^T, last eta first, in place: an eta's entries sit on rows it
+  // eliminates, which later etas have already finished.
+  const LuData& lu = *lu_;
+  for (std::size_t j = lu.l_row.size(); j-- > 0;) {
+    double s = 0.0;
+    for (std::int32_t t = lu.l_start[j]; t < lu.l_start[j + 1]; ++t) {
+      const ColEntry& en = lu.l_ent[static_cast<std::size_t>(t)];
+      s += en.val * z[static_cast<std::size_t>(en.row)];
+    }
+    z[static_cast<std::size_t>(lu.l_row[j])] -= s;
   }
 }
 
 void SparseLuBasis::btran(std::vector<double>& x) const {
-  // Eta transposes, newest first: x := E_1^-T ... E_k^-T x.
-  for (int k = etas_.count(); k-- > 0;) {
-    const std::size_t r = static_cast<std::size_t>(etas_.pos[static_cast<std::size_t>(k)]);
-    double s = x[r];
-    const std::int32_t b = etas_.start[static_cast<std::size_t>(k)];
-    const std::int32_t e = etas_.start[static_cast<std::size_t>(k) + 1];
-    for (std::int32_t t = b; t < e; ++t) {
-      const ColEntry& en = etas_.ent[static_cast<std::size_t>(t)];
-      s -= en.val * x[static_cast<std::size_t>(en.row)];
-    }
-    x[r] = s * etas_.inv_pivot[static_cast<std::size_t>(k)];
+  std::vector<double>& z = solve_scratch_;
+  upper_t_solve(x.data(), z.data());
+  btran_tail(z);
+  copy_dropping_tiny(z, x);
+}
+
+void SparseLuBasis::btran_unit(std::size_t r, std::vector<double>& x) const {
+  std::fill(x.begin(), x.end(), 0.0);
+  pos_scratch_[r] = 1.0;
+  upper_t_solve_unit(static_cast<std::size_t>(slot_of_pos_[r]), pos_scratch_.data(), x.data());
+  // U^-T e_r is the next update's row eta up to a factor, when the simplex
+  // pivots on row r: keep it.
+  unit_pos_ = static_cast<std::int32_t>(r);
+  unit_z_.clear();
+  for (const std::int32_t s32 : reach_) {
+    const auto s = static_cast<std::size_t>(s32);
+    const std::int32_t row = s < m_ ? lu_->pivot_row[s] : ft_.row[s - m_];
+    unit_z_.push_back({row, x[static_cast<std::size_t>(row)]});
   }
+  btran_tail(x);
+  for (double& v : x) {
+    if (std::abs(v) < kTiny) v = 0.0;
+  }
+}
+
+void SparseLuBasis::update(const std::vector<double>& w, std::size_t r,
+                           const std::vector<std::int32_t>& /*wnz*/) {
+  assert(spike_valid_ && "update() needs the entering column's ftran_entering()");
+  if (!spike_valid_) {
+    ft_.inaccurate = true;  // no spike to install: force a refactorization
+    return;
+  }
+  spike_valid_ = false;
+  const auto p = static_cast<std::size_t>(slot_of_pos_[r]);
   const LuData& lu = *lu_;
-  // U^T forward solve on the position-indexed input.
-  std::vector<double>& tk = tk_scratch_;
-  for (std::size_t k = 0; k < m_; ++k) {
-    const double t = x[static_cast<std::size_t>(lu.pivot_pos[k])] * lu.u_diag_inv[k];
-    tk[k] = t;
-    if (t == 0.0) continue;
-    const std::int32_t b = lu.u_start[k];
-    const std::int32_t e = lu.u_start[k + 1];
-    for (std::int32_t s = b; s < e; ++s) {
-      const ColEntry& en = lu.u_ent[static_cast<std::size_t>(s)];
-      x[static_cast<std::size_t>(en.row)] -= en.val * t;  // en.row is a position
+  const auto prow = static_cast<std::size_t>(p < m_ ? lu.pivot_row[p] : ft_.row[p - m_]);
+  const double pdiag = p < m_ ? lu.u_diag[p] : ft_.diag[p - m_];
+
+  // Row eta: the multipliers v with v[prow] = 1 and v^T U zero past slot
+  // p, i.e. U^T v = pdiag * e_r, whose reach from slot p starts at p. A
+  // btran_unit(r) since the last update already solved U^T z = e_r.
+  if (unit_pos_ != static_cast<std::int32_t>(r)) {
+    pos_scratch_[r] = 1.0;
+    upper_t_solve_unit(p, pos_scratch_.data(), eta_scratch_.data());
+    unit_z_.clear();
+    for (const std::int32_t s32 : reach_) {
+      const auto s = static_cast<std::size_t>(s32);
+      const std::int32_t row = s < m_ ? lu.pivot_row[s] : ft_.row[s - m_];
+      unit_z_.push_back({row, eta_scratch_[static_cast<std::size_t>(row)]});
     }
   }
-  // L^T backward solve, producing the row-indexed result.
-  std::vector<double>& y = solve_scratch_;
-  for (std::size_t kk = m_; kk-- > 0;) {
-    double v = tk[kk];
-    const std::int32_t b = lu.l_start[kk];
-    const std::int32_t e = lu.l_start[kk + 1];
-    for (std::int32_t s = b; s < e; ++s) {
-      const ColEntry& en = lu.l_ent[static_cast<std::size_t>(s)];
-      v -= en.val * y[static_cast<std::size_t>(en.row)];
-    }
-    y[static_cast<std::size_t>(lu.pivot_row[kk])] = v;
+  unit_pos_ = -1;
+  // The eliminated row's new diagonal is the row eta applied to the spike;
+  // it must equal w[r] times the old diagonal up to round-off.
+  double diag = spike_[prow];
+  for (std::size_t j = 1; j < unit_z_.size(); ++j) {  // unit_z_[0] is prow's
+    const double vi = pdiag * unit_z_[j].val;
+    if (vi == 0.0) continue;
+    ft_.eta_ent.push_back({unit_z_[j].row, vi});
+    diag += vi * spike_[static_cast<std::size_t>(unit_z_[j].row)];
   }
-  std::copy(y.begin(), y.end(), x.begin());
+  const double expected = w[r] * pdiag;
+  if (!(std::abs(diag - expected) <= kFtAccuracyTol * std::abs(expected))) {
+    ft_.inaccurate = true;
+    if (!(std::abs(diag) >= kSingularTol)) diag = expected;
+  }
+
+  // The spike replaces position r's column and moves with row prow to the
+  // end of the pivot order; the old slot dies.
+  for (const std::int32_t i : spike_nz_) {
+    if (static_cast<std::size_t>(i) != prow) {
+      ft_.col_ent.push_back({i, spike_[static_cast<std::size_t>(i)]});
+    }
+  }
+  ft_.pos.push_back(static_cast<std::int32_t>(r));
+  ft_.row.push_back(static_cast<std::int32_t>(prow));
+  ft_.diag.push_back(diag);
+  ft_.diag_inv.push_back(1.0 / diag);
+  ft_.col_start.push_back(static_cast<std::int32_t>(ft_.col_ent.size()));
+  ft_.eta_start.push_back(static_cast<std::int32_t>(ft_.eta_ent.size()));
+  dead_.push_back(0);
+  index_update(ft_.pos.size() - 1);
 }
 
 }  // namespace

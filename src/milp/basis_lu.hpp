@@ -2,25 +2,28 @@
 /// Basis-representation kernels for the bounded-variable revised simplex.
 ///
 /// The simplex loops only ever touch the basis matrix B through four
-/// operations: ftran (x := B^-1 x), btran (x := B^-T x), a product-form
-/// update after a pivot, and a full refactorization. `BasisRep` narrows the
-/// kernel to exactly that surface so the solver can swap representations:
+/// operations: ftran (x := B^-1 x), btran (x := B^-T x), an update after a
+/// pivot, and a full refactorization. `BasisRep` narrows the kernel to
+/// exactly that surface so the solver can swap representations:
 ///
 ///   * `SparseLuBasis` (default) — sparse LU factorization with
 ///     Markowitz-style pivot selection under threshold partial pivoting,
-///     plus an eta file of product-form updates between refactorizations.
-///     Work per pivot is proportional to the nonzeros touched, which is what
-///     makes 1k-5k row models tractable.
+///     kept current between refactorizations by Forrest–Tomlin updates: the
+///     entering column's spike L^-1 a_q replaces the leaving column of U,
+///     one short row eta eliminates the leaving row, and that column moves
+///     to the end of the pivot order. ftran/btran touch nnz(L) + nnz(U) plus
+///     the row etas, which is what makes 1k-5k row models tractable.
 ///   * `DenseBasis` — the original explicit dense inverse (Gauss-Jordan
 ///     refactorization, rank-1 product-form updates). O(m^2) per pivot;
 ///     kept as the cross-check oracle and for tiny models.
 ///
 /// A sparse-LU kernel can additionally snapshot its factorization into an
-/// immutable `FactorState` (shared LU + copied eta file). The parallel
+/// immutable `FactorState` (shared LU + copied update file). The parallel
 /// branch & bound ships these snapshots with exported bases so that loading
-/// a transplanted basis costs an eta replay instead of a refactorization.
+/// a transplanted basis replays its updates instead of refactorizing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -36,60 +39,81 @@ struct ColEntry {
 /// Which basis kernel a SimplexSolver instantiates (SimplexOptions::kernel).
 enum class BasisKernel : std::uint8_t { SparseLu, Dense };
 
-/// Product-form eta file in pooled (flat) storage. Eta k records that basis
-/// position `pos[k]` was repivoted on the ftran'd entering column w:
-/// `pivot[k]` = w[pos[k]], and the other nonzeros of w (position-indexed)
-/// are `ent[start[k] .. start[k+1])`. Appending an eta never allocates per
-/// update (amortized growth of the pooled arrays, whose capacity survives
-/// refactorizations), and replay walks contiguous memory.
-struct EtaFile {
-  std::vector<std::int32_t> start{0};  ///< size count()+1
-  std::vector<std::int32_t> pos;       ///< repivoted basis position per eta
-  std::vector<double> pivot;
-  std::vector<double> inv_pivot;       ///< 1/pivot, precomputed (replay multiplies)
-  std::vector<ColEntry> ent;           ///< pooled off-pivot entries
-
-  [[nodiscard]] int count() const { return static_cast<int>(pos.size()); }
-  [[nodiscard]] std::size_t nnz() const { return ent.size(); }
-  void clear() {
-    start.assign(1, 0);
-    pos.clear();
-    pivot.clear();
-    inv_pivot.clear();
-    ent.clear();
-  }
-};
-
-/// Sparse LU factors of a basis matrix B (with row and position
-/// permutations folded into the pivot order): B = L * U up to permutation.
-/// Immutable once built; shared by snapshots across threads.
+/// Sparse LU factors of a basis matrix B as a refactorization leaves them:
+/// B = L * U up to the row and position permutations folded into the pivot
+/// order. Immutable once built; shared by snapshots across threads.
 struct LuData {
   std::size_t m = 0;
   std::vector<std::int32_t> pivot_row;  ///< original row of pivot k
   std::vector<std::int32_t> pivot_pos;  ///< basis position of pivot k
-  /// L, column per pivot k (unit diagonal implicit): entries are
-  /// (original row, multiplier).
-  std::vector<std::int32_t> l_start;  ///< size m+1
+  /// L as elementary column etas in pivot order, empty ones left out (on
+  /// simplex bases L is nearly the identity): eta j eliminates below pivot
+  /// row `l_row[j]` with the (original row, multiplier) entries
+  /// `l_ent[l_start[j] .. l_start[j+1])`.
+  std::vector<std::int32_t> l_row;
+  std::vector<std::int32_t> l_start{0};  ///< size l_row.size()+1
   std::vector<ColEntry> l_ent;
-  /// U, row per pivot k (diagonal split out): entries are
-  /// (basis position, value).
-  std::vector<std::int32_t> u_start;  ///< size m+1
+  /// U, column per pivot k (diagonal split out): entries are (original
+  /// row, value) over rows pivoted before k.
+  std::vector<std::int32_t> u_start{0};  ///< size m+1
   std::vector<ColEntry> u_ent;
+  /// The same U, row per pivot k: entries are (basis position, value) over
+  /// positions pivoted after k.
+  std::vector<std::int32_t> ur_start{0};  ///< size m+1
+  std::vector<ColEntry> ur_ent;
   std::vector<double> u_diag;      ///< pivot value per k
   std::vector<double> u_diag_inv;  ///< 1/u_diag, so the solves multiply
 
+  /// Nonzeros of L and U (U counted once).
   [[nodiscard]] std::size_t nnz() const { return l_ent.size() + u_ent.size() + m; }
 };
 
+/// Forrest–Tomlin updates since the last refactorization, in pooled (flat)
+/// storage. Update k re-pivoted basis position `pos[k]`: its U column, now
+/// `col_ent[col_start[k] .. col_start[k+1])` (original row, value) with
+/// diagonal `diag[k]`, sits with row `row[k]` at the end of the pivot order,
+/// and its row eta `x[row[k]] += sum(v * x[i])` over the (row i, v) entries
+/// `eta_ent[eta_start[k] .. eta_start[k+1])` runs after L in ftran. The U
+/// column and row the update superseded stay in place; the solves skip
+/// them (see SparseLuBasis). Appending never allocates per update once the
+/// pooled arrays have grown, and their capacity survives refactorizations.
+struct FtFile {
+  std::vector<std::int32_t> pos;
+  std::vector<std::int32_t> row;
+  std::vector<double> diag;
+  std::vector<double> diag_inv;
+  std::vector<std::int32_t> col_start{0};  ///< size count()+1
+  std::vector<ColEntry> col_ent;
+  std::vector<std::int32_t> eta_start{0};  ///< size count()+1
+  std::vector<ColEntry> eta_ent;
+  /// An update's new diagonal disagreed with w[r] * (old diagonal) beyond
+  /// round-off: the factors have lost accuracy and want refactorizing.
+  bool inaccurate = false;
+
+  [[nodiscard]] int count() const { return static_cast<int>(pos.size()); }
+  [[nodiscard]] std::size_t nnz() const { return col_ent.size() + eta_ent.size(); }
+  void clear() {
+    pos.clear();
+    row.clear();
+    diag.clear();
+    diag_inv.clear();
+    col_start.assign(1, 0);
+    col_ent.clear();
+    eta_start.assign(1, 0);
+    eta_ent.clear();
+    inaccurate = false;
+  }
+};
+
 /// Immutable snapshot of a sparse-LU kernel's factorization state: the
-/// (shared, never mutated) LU factors plus a copy of the eta file at export
-/// time. Safe to hand across threads; adopting it replays the etas instead
-/// of refactorizing.
+/// (shared, never mutated) LU factors plus a copy of the update file at
+/// export time. Safe to hand across threads; adopting it replays the
+/// updates' pivot-order moves instead of refactorizing.
 struct FactorState {
   std::shared_ptr<const LuData> lu;
-  EtaFile etas;
+  FtFile updates;
 
-  [[nodiscard]] int eta_count() const { return etas.count(); }
+  [[nodiscard]] int update_count() const { return updates.count(); }
 };
 
 /// Abstract basis representation. Vectors are dense (length m); sparsity is
@@ -111,19 +135,31 @@ class BasisRep {
   /// x := B^-1 x. Input row-indexed, output position-indexed.
   virtual void ftran(std::vector<double>& x) const = 0;
 
+  /// ftran of the column about to enter the basis. An updating kernel keeps
+  /// the partial result the next update() needs (the Forrest–Tomlin spike).
+  virtual void ftran_entering(std::vector<double>& x) { ftran(x); }
+
   /// x := B^-T x. Input position-indexed, output row-indexed.
   virtual void btran(std::vector<double>& x) const = 0;
 
-  /// Product-form update after a pivot at basis position `r`; `w` is the
-  /// ftran result of the entering column (position-indexed, w[r] != 0) and
-  /// `wnz` lists the positions with w[i] != 0.0 in ascending order (r
-  /// included), so kernels touch only the nonzeros.
+  /// x := B^-T e_r, row r of B^-1 (row-indexed, x resized to m).
+  virtual void btran_unit(std::size_t r, std::vector<double>& x) const {
+    std::fill(x.begin(), x.end(), 0.0);
+    x[r] = 1.0;
+    btran(x);
+  }
+
+  /// Update after a pivot at basis position `r`; `w` is the ftran_entering
+  /// result of the entering column (position-indexed, w[r] != 0) and `wnz`
+  /// lists the positions with w[i] != 0.0 in ascending order (r included),
+  /// so kernels touch only the nonzeros.
   virtual void update(const std::vector<double>& w, std::size_t r,
                       const std::vector<std::int32_t>& wnz) = 0;
 
   /// Advises refactorizing before `refactor_interval` is reached because the
-  /// eta file has outgrown the factors (always false for the dense kernel).
-  [[nodiscard]] virtual bool fill_heavy() const = 0;
+  /// updates have outgrown the factors or lost accuracy (always false for
+  /// the dense kernel).
+  [[nodiscard]] virtual bool growth_exceeded() const = 0;
 
   /// Immutable snapshot of the current factorization for basis transplants;
   /// null when the kernel does not support snapshots (dense).
@@ -138,7 +174,8 @@ class BasisRep {
 };
 
 /// Builds a kernel for an m-row basis. `markowitz_tol` and `eta_fill_factor`
-/// only affect the sparse kernel (see SimplexOptions).
+/// (the Forrest–Tomlin growth bound) only affect the sparse kernel (see
+/// SimplexOptions).
 std::unique_ptr<BasisRep> make_basis_rep(BasisKernel kernel, std::size_t m,
                                          double markowitz_tol,
                                          double eta_fill_factor);

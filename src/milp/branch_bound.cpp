@@ -31,6 +31,17 @@ using Clock = std::chrono::steady_clock;
 
 const double kNan = std::numeric_limits<double>::quiet_NaN();
 
+/// Adds one solver's refactorizations to `milp.refactors` and to the
+/// per-cause `milp.refactors.<cause>` counters, which sum to it.
+void count_refactors(obs::MetricsRegistry& reg, const SimplexSolver::ReoptStats& rs) {
+  reg.counter("milp.refactors").add(rs.refactors);
+  for (std::size_t c = 0; c < kRefactorCauses; ++c) {
+    reg.counter(std::string("milp.refactors.") +
+                to_string(static_cast<RefactorCause>(c)))
+        .add(rs.refactors_by[c]);
+  }
+}
+
 /// Granularity of the objective: the largest g such that every objective
 /// coefficient is an integer multiple of g, provided only *integral*
 /// variables carry objective weight. Two integer-feasible objectives then
@@ -969,7 +980,7 @@ std::int64_t run_search(NodePool& pool, SimplexSolver& root_lp, int threads,
     sol.warm_dual_nodes += rs.dual_fast;
     sol.warm_repair_nodes += rs.repaired;
     sol.cold_nodes += rs.cold;
-    hooks.reg->counter("milp.refactors").add(rs.refactors);
+    count_refactors(*hooks.reg, rs);
     hooks.reg->counter("milp.basis_transplants").add(rs.transplants);
   }
   return nodes;
@@ -1371,7 +1382,7 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   sol.warm_dual_nodes += root_lp.reopt_stats().dual_fast;
   sol.warm_repair_nodes += root_lp.reopt_stats().repaired;
   sol.cold_nodes += root_lp.reopt_stats().cold;
-  reg->counter("milp.refactors").add(root_lp.reopt_stats().refactors);
+  count_refactors(*reg, root_lp.reopt_stats());
   reg->counter("milp.basis_transplants").add(root_lp.reopt_stats().transplants);
   reg->counter("milp.branch.pseudocost_updates").add(pool.pseudocost_updates());
   reg->counter("milp.branch.uninitialized").add(pool.pseudocost_uninitialized());

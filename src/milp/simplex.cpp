@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -14,6 +15,17 @@ namespace {
 constexpr double kRatioTol = 1e-9;   // rows with |w| below this do not block
 constexpr double kDegenTol = 1e-10;  // step sizes below this count as degenerate
 }  // namespace
+
+const char* to_string(RefactorCause c) {
+  switch (c) {
+    case RefactorCause::Interval: return "interval";
+    case RefactorCause::Growth: return "growth";
+    case RefactorCause::SmallPivot: return "small_pivot";
+    case RefactorCause::Load: return "load";
+    case RefactorCause::Recover: return "recover";
+  }
+  return "unknown";
+}
 
 SimplexSolver::SimplexSolver(const Model& model, SimplexOptions options)
     : opts_(std::move(options)) {
@@ -198,18 +210,17 @@ void SimplexSolver::initial_basis() {
   pivots_since_refactor_ = 0;
 }
 
-void SimplexSolver::ftran(std::int32_t col, std::vector<double>& w) const {
+void SimplexSolver::ftran_entering(std::int32_t col, std::vector<double>& w) {
   std::fill(w.begin(), w.end(), 0.0);
   for (const ColEntry& e : this->col(static_cast<std::size_t>(col))) {
     w[static_cast<std::size_t>(e.row)] += e.val;
   }
-  rep_->ftran(w);
+  rep_->ftran_entering(w);
 }
 
 void SimplexSolver::btran_row(std::size_t r, std::vector<double>& rho) const {
-  rho.assign(m_, 0.0);
-  rho[r] = 1.0;
-  rep_->btran(rho);
+  rho.resize(m_);
+  rep_->btran_unit(r, rho);
 }
 
 void SimplexSolver::price_row(const std::vector<double>& rho,
@@ -248,11 +259,12 @@ void SimplexSolver::price_row(const std::vector<double>& rho,
   }
 }
 
-bool SimplexSolver::refactorize() {
+bool SimplexSolver::refactorize(RefactorCause cause) {
   // Refactorizations are rare (every ~refactor_interval pivots) and dominate
   // worst-case node latency, so they are spanned unconditionally.
   obs::Region span(opts_.ring, obs::span_id(obs::SpanName::Refactor));
   ++reopt_stats_.refactors;
+  ++reopt_stats_.refactors_by[static_cast<std::size_t>(cause)];
   if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::SingularFactor)) {
     return false;  // injected singular factorization
   }
@@ -361,8 +373,8 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
         return SolveStatus::TimeLimit;  // cooperative cancel (drain/preempt)
       }
     }
-    if (pivots_since_refactor_ >= opts_.refactor_interval || rep_->fill_heavy()) {
-      if (!refactorize()) return SolveStatus::NumericalError;
+    if (const std::optional<RefactorCause> due = refactor_due()) {
+      if (!refactorize(*due)) return SolveStatus::NumericalError;
       compute_basic_values();
       // The reduced costs are *not* re-priced here: refactorization changes
       // the factors, never the basis, so d is mathematically unchanged. The
@@ -436,7 +448,7 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
 
     {
       obs::Region ftran_span(sampled_ring(), obs::span_id(obs::SpanName::Ftran));
-      ftran(q, w);
+      ftran_entering(q, w);
     }
 
     // Ratio test: how far can the entering variable move? The scan doubles
@@ -504,7 +516,7 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
       const std::size_t r = static_cast<std::size_t>(leave_row);
       if (std::abs(w[r]) < opts_.pivot_tol) {
         // Numerically unsafe pivot: rebuild and retry this iteration.
-        if (!refactorize()) return SolveStatus::NumericalError;
+        if (!refactorize(RefactorCause::SmallPivot)) return SolveStatus::NumericalError;
         compute_basic_values();
         continue;
       }
@@ -677,7 +689,7 @@ SolveStatus SimplexSolver::recover_resolve() {
   const double saved_pivot_tol = opts_.pivot_tol;
   opts_.pivot_tol = std::min(1e-6, saved_pivot_tol * 100.0);
   SolveStatus st = SolveStatus::NumericalError;
-  if (refactorize()) {
+  if (refactorize(RefactorCause::Recover)) {
     compute_basic_values();
     basis_valid_ = true;
     st = reoptimize_dual();
@@ -719,8 +731,8 @@ SolveStatus SimplexSolver::dual_loop() {
         return SolveStatus::TimeLimit;  // cooperative cancel (drain/preempt)
       }
     }
-    if (pivots_since_refactor_ >= opts_.refactor_interval || rep_->fill_heavy()) {
-      if (!refactorize()) return SolveStatus::NumericalError;
+    if (const std::optional<RefactorCause> due = refactor_due()) {
+      if (!refactorize(*due)) return SolveStatus::NumericalError;
       compute_basic_values();
       price(pert_cost_, d);
       prices_stale = 0;
@@ -786,10 +798,10 @@ SolveStatus SimplexSolver::dual_loop() {
 
     {
       obs::Region ftran_span(sampled_ring(), obs::span_id(obs::SpanName::Ftran));
-      ftran(q, w);
+      ftran_entering(q, w);
     }
     if (std::abs(w[r]) < opts_.pivot_tol) {
-      if (!refactorize()) return SolveStatus::NumericalError;
+      if (!refactorize(RefactorCause::SmallPivot)) return SolveStatus::NumericalError;
       compute_basic_values();
       continue;
     }
@@ -965,14 +977,14 @@ bool SimplexSolver::load_basis(const Basis& basis) {
     }
   }
 
-  // Eta replay: adopt the exporter's factorization snapshot when the kernel
-  // supports it — the transplant then costs an eta replay instead of a full
+  // Adopt the exporter's factorization snapshot when the kernel supports
+  // it — the transplant then costs an index rebuild instead of a full
   // refactorization. Fall back to refactorizing (checkpoint-resumed bases
   // and the dense kernel ship no snapshot).
   if (basis.factor != nullptr && rep_->adopt(basis.factor)) {
     ++reopt_stats_.transplants;
-    pivots_since_refactor_ = basis.factor->eta_count();
-  } else if (!refactorize()) {
+    pivots_since_refactor_ = basis.factor->update_count();
+  } else if (!refactorize(RefactorCause::Load)) {
     basis_valid_ = false;
     return false;
   }
@@ -1001,7 +1013,12 @@ std::vector<double> SimplexSolver::primal_solution() const {
 }
 
 Solution solve_lp_relaxation(const Model& model, SimplexOptions options) {
-  SimplexSolver lp(model, options);
+  // Like solve_milp, one solve_start / solve_end pair (one worker) brackets
+  // the kernel records on the caller's ring.
+  obs::Ring* const ring = options.ring;
+  const bool started = ring != nullptr &&
+                       ring->open(obs::EventType::SolveStart, -1, 1.0, obs::Clock::now());
+  SimplexSolver lp(model, std::move(options));
   Solution sol;
   sol.status = lp.solve_primal();
   sol.term_reason = term_reason_from(sol.status);
@@ -1012,6 +1029,11 @@ Solution solve_lp_relaxation(const Model& model, SimplexOptions options) {
     sol.objective = flip * lp.objective_value();
     sol.has_incumbent = true;
     sol.best_bound = sol.objective;
+  }
+  if (started) {
+    ring->close(obs::EventType::SolveEnd, -1,
+                sol.has_incumbent ? sol.objective : std::numeric_limits<double>::quiet_NaN(),
+                obs::Clock::now());
   }
   return sol;
 }

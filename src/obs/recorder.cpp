@@ -54,6 +54,7 @@ const char* to_string(SpanName n) {
   switch (n) {
     case SpanName::Encode: return "encode";
     case SpanName::Formulate: return "formulate";
+    case SpanName::Compile: return "compile";
     case SpanName::Solve: return "solve";
     case SpanName::Extract: return "extract";
     case SpanName::Presolve: return "presolve";

@@ -83,6 +83,7 @@ enum class SpanName : std::int32_t {
   // Architecture pipeline (arch::Problem).
   Encode = 0,   ///< structural constraints (Problem constructor)
   Formulate,    ///< objective assembly
+  Compile,      ///< Problem::solve's compile step (arch::compile)
   Solve,        ///< the whole MILP solve (arch layer view)
   Extract,      ///< solution -> Architecture decode
   // Branch & bound phases (milp::solve_milp).

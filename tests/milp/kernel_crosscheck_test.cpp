@@ -2,13 +2,16 @@
 /// Dense-vs-sparse basis kernel cross-checks. The dense explicit inverse is
 /// the oracle: both kernels must agree on status, optimal objective and the
 /// independent certifier's verdict over randomized bounded-variable LPs
-/// (including degenerate and near-singular bases), and the eta-replay basis
-/// transplant must reproduce what a fresh refactorization computes.
+/// (including degenerate and near-singular bases), a long chain of
+/// Forrest–Tomlin updates must track the oracle's ftran/btran pivot by
+/// pivot, and a transplanted factorization snapshot must reproduce what a
+/// fresh refactorization computes, on the exporting thread or another.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "check/certify.hpp"
@@ -145,23 +148,212 @@ TEST(KernelCrossCheck, NearSingularBasesAgree) {
   }
 }
 
+/// Degenerate model: duplicated rows and symmetric costs.
+Model degenerate_lp(unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> coef(0.5, 2.0);
+  Model m;
+  std::vector<VarId> v;
+  for (int j = 0; j < 10; ++j) v.push_back(m.add_continuous(0.0, 1.0));
+  for (int i = 0; i < 5; ++i) {
+    LinExpr e;
+    for (int j = 0; j < 10; ++j) e += coef(rng) * v[static_cast<std::size_t>(j)];
+    LinExpr e2 = e;
+    m.add_constraint(std::move(e), Sense::LE, 4.0);
+    m.add_constraint(std::move(e2), Sense::LE, 4.0);  // exact duplicate row
+  }
+  LinExpr obj;
+  for (int j = 0; j < 10; ++j) obj += -1.0 * v[static_cast<std::size_t>(j)];
+  m.set_objective(obj);
+  return m;
+}
+
+/// Near-singular model: row pairs that are scalar multiples up to 1e-9.
+Model near_singular_lp(unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> coef(0.5, 2.0);
+  Model m;
+  std::vector<VarId> v;
+  for (int j = 0; j < 8; ++j) v.push_back(m.add_continuous(0.0, 10.0));
+  for (int i = 0; i < 4; ++i) {
+    LinExpr a, b;
+    for (int j = 0; j < 8; ++j) {
+      const double c = coef(rng);
+      a += c * v[static_cast<std::size_t>(j)];
+      b += c * (1.0 + 1e-9) * v[static_cast<std::size_t>(j)];
+    }
+    m.add_constraint(std::move(a), Sense::LE, 20.0);
+    m.add_constraint(std::move(b), Sense::GE, 1.0);
+  }
+  LinExpr obj;
+  for (int j = 0; j < 8; ++j) obj += (j % 2 == 0 ? 1.0 : -1.0) * v[static_cast<std::size_t>(j)];
+  m.set_objective(obj);
+  return m;
+}
+
+/// |a - b| within a relative 1e-9 of the oracle's magnitude, entry by entry.
+void expect_vectors_match(const std::vector<double>& sparse, const std::vector<double>& dense,
+                          const std::string& what) {
+  double scale = 1.0;
+  for (const double d : dense) scale = std::max(scale, std::abs(d));
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    ASSERT_NEAR(sparse[i], dense[i], 1e-9 * scale) << what << " entry " << i;
+  }
+}
+
+/// Drives the sparse kernel through a chain of pivots on the basis matrices
+/// of `model` ([A | I], slacks basic at the start) with no refactorization,
+/// and after every pivot compares its solves with the dense oracle freshly
+/// factorized on the same basis.
+void run_update_chain(const Model& model, int pivots, unsigned seed, const std::string& what) {
+  const std::size_t m = model.num_constraints();
+  const std::size_t n = model.num_vars();
+  std::vector<std::vector<ColEntry>> cols(n + m);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (const Term& t : model.constraint(i).expr.terms()) {
+      cols[static_cast<std::size_t>(t.var.index)].push_back({static_cast<std::int32_t>(i), t.coef});
+    }
+    cols[n + i].push_back({static_cast<std::int32_t>(i), 1.0});
+  }
+  std::vector<std::int32_t> col_start{0};
+  std::vector<ColEntry> col_ent;
+  for (const auto& c : cols) {
+    col_ent.insert(col_ent.end(), c.begin(), c.end());
+    col_start.push_back(static_cast<std::int32_t>(col_ent.size()));
+  }
+  std::vector<std::int32_t> basic(m);
+  std::vector<char> is_basic(n + m, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    basic[i] = static_cast<std::int32_t>(n + i);
+    is_basic[n + i] = 1;
+  }
+  // A growth bound this large never asks for a refactorization.
+  auto sparse = make_basis_rep(BasisKernel::SparseLu, m, 0.1, 1e9);
+  auto dense = make_basis_rep(BasisKernel::Dense, m, 0.1, 1e9);
+  ASSERT_TRUE(sparse->factorize(col_start.data(), col_ent.data(), basic));
+
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<std::size_t> pick(0, n + m - 1);
+  std::uniform_real_distribution<double> val(-1.0, 1.0);
+  std::vector<double> ws(m), wd(m);
+  std::vector<std::int32_t> wnz;
+  int done = 0;
+  for (int tries = 0; done < pivots && tries < 50 * pivots; ++tries) {
+    const std::size_t q = pick(rng);
+    if (is_basic[q] != 0) continue;
+    std::fill(ws.begin(), ws.end(), 0.0);
+    for (const ColEntry& e : cols[q]) ws[static_cast<std::size_t>(e.row)] = e.val;
+    wd = ws;
+    ASSERT_TRUE(dense->factorize(col_start.data(), col_ent.data(), basic)) << what;
+    sparse->ftran_entering(ws);
+    dense->ftran(wd);
+    expect_vectors_match(ws, wd, what + " entering column");
+    // Leaving position: a random one among the pivots that keep the basis
+    // well conditioned, so the oracle itself stays exact to ~1e-12.
+    double wmax = 0.0;
+    for (const double x : wd) wmax = std::max(wmax, std::abs(x));
+    std::vector<std::size_t> ok;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (std::abs(wd[i]) >= 0.5 * wmax && std::abs(wd[i]) > 1e-3) ok.push_back(i);
+    }
+    if (ok.empty()) continue;
+    const std::size_t r = ok[std::uniform_int_distribution<std::size_t>(0, ok.size() - 1)(rng)];
+    wnz.clear();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (ws[i] != 0.0) wnz.push_back(static_cast<std::int32_t>(i));
+    }
+    sparse->update(ws, r, wnz);
+    is_basic[static_cast<std::size_t>(basic[r])] = 0;
+    is_basic[q] = 1;
+    basic[r] = static_cast<std::int32_t>(q);
+    ++done;
+
+    const std::string at = what + " after pivot " + std::to_string(done);
+    ASSERT_TRUE(dense->factorize(col_start.data(), col_ent.data(), basic)) << at;
+    ASSERT_FALSE(sparse->growth_exceeded()) << at << ": an update lost accuracy";
+    std::vector<double> xs(m), xd(m);
+    for (double& x : xs) x = val(rng);
+    xd = xs;
+    sparse->ftran(xs);
+    dense->ftran(xd);
+    expect_vectors_match(xs, xd, at + " ftran");
+    for (double& x : xs) x = val(rng);
+    xd = xs;
+    sparse->btran(xs);
+    dense->btran(xd);
+    expect_vectors_match(xs, xd, at + " btran");
+    sparse->btran_unit(r, xs);
+    dense->btran_unit(r, xd);
+    expect_vectors_match(xs, xd, at + " btran of a unit vector");
+  }
+  EXPECT_EQ(done, pivots) << what;
+}
+
+TEST(KernelCrossCheck, UpdateChainTracksDenseOracle) {
+  // A full refactor_interval of updates without a refactorization.
+  const int pivots = SimplexOptions{}.refactor_interval;
+  for (unsigned seed = 0; seed < 3; ++seed) {
+    run_update_chain(random_bounded_lp(24, seed), pivots, seed, "random " + std::to_string(seed));
+    run_update_chain(degenerate_lp(100 + seed), pivots, seed,
+                     "degenerate " + std::to_string(seed));
+    run_update_chain(near_singular_lp(200 + seed), pivots, seed,
+                     "near-singular " + std::to_string(seed));
+  }
+}
+
+TEST(KernelCrossCheck, SnapshotAdoptedOnAnotherThreadReachesSameOptimum) {
+  // A snapshot taken mid-chain (updates since the last refactorization)
+  // is immutable and shared: a solver on another thread adopts it while the
+  // donor keeps pivoting, and both land on the same optimum.
+  const Model m = random_bounded_lp(16, 7);
+  SimplexSolver donor(m, kernel_opts(BasisKernel::SparseLu));
+  ASSERT_EQ(donor.solve_primal(), SolveStatus::Optimal);
+  donor.set_bounds(0, 0.0, 4.0);
+  ASSERT_EQ(donor.reoptimize_dual(), SolveStatus::Optimal);
+  const SimplexSolver::Basis basis = donor.export_basis();
+  ASSERT_NE(basis.factor, nullptr);
+  ASSERT_GT(basis.factor->update_count(), 0) << "snapshot must carry updates";
+
+  double adopted_obj = 0.0;
+  SolveStatus adopted_status = SolveStatus::NumericalError;
+  std::int64_t adopted_transplants = 0;
+  std::thread peer([&] {
+    SimplexSolver thief(m, kernel_opts(BasisKernel::SparseLu));
+    thief.set_bounds(0, 0.0, 4.0);
+    thief.set_bounds(1, 0.0, 3.0);
+    if (!thief.load_basis(basis)) return;
+    adopted_transplants = thief.reopt_stats().transplants;
+    adopted_status = thief.reoptimize_dual();
+    adopted_obj = thief.objective_value();
+  });
+  donor.set_bounds(1, 0.0, 3.0);
+  const SolveStatus donor_status = donor.reoptimize_dual();
+  peer.join();
+  ASSERT_EQ(donor_status, SolveStatus::Optimal);
+  ASSERT_EQ(adopted_status, SolveStatus::Optimal);
+  EXPECT_EQ(adopted_transplants, 1);
+  const double rel = 1e-8 * (1.0 + std::abs(donor.objective_value()));
+  EXPECT_NEAR(adopted_obj, donor.objective_value(), rel);
+}
+
 TEST(KernelCrossCheck, EtaReplayMatchesRefactorization) {
   const Model m = random_bounded_lp(16, 7);
   SimplexSolver donor(m, kernel_opts(BasisKernel::SparseLu));
   ASSERT_EQ(donor.solve_primal(), SolveStatus::Optimal);
-  // Accumulate eta updates past the initial factorization before exporting.
+  // Accumulate updates past the initial factorization before exporting.
   donor.set_bounds(0, 0.0, 4.0);
   ASSERT_EQ(donor.reoptimize_dual(), SolveStatus::Optimal);
   const SimplexSolver::Basis basis = donor.export_basis();
   ASSERT_NE(basis.factor, nullptr) << "sparse kernel must ship its factorization";
 
-  // Transplant via eta replay: no refactorization may be charged.
+  // Transplant via the snapshot's update file: no refactorization may be
+  // charged.
   SimplexSolver replay(m, kernel_opts(BasisKernel::SparseLu));
   replay.set_bounds(0, 0.0, 4.0);
   ASSERT_TRUE(replay.load_basis(basis));
   EXPECT_EQ(replay.reopt_stats().transplants, 1);
   EXPECT_EQ(replay.reopt_stats().refactors, 0)
-      << "transplant must cost an eta replay, not a refactorization";
+      << "transplant must adopt the snapshot, not refactorize";
 
   // Same basis through the fresh-refactorization path (snapshot stripped).
   SimplexSolver::Basis stripped = basis;
@@ -179,8 +371,8 @@ TEST(KernelCrossCheck, EtaReplayMatchesRefactorization) {
   ASSERT_EQ(donor.reoptimize_dual(), SolveStatus::Optimal);
   ASSERT_EQ(replay.reoptimize_dual(), SolveStatus::Optimal);
   ASSERT_EQ(refact.reoptimize_dual(), SolveStatus::Optimal);
-  // The replayed transplant continues the donor's exact arithmetic: same
-  // factors, same etas, same nonbasic resting points.
+  // The adopted transplant continues the donor's exact arithmetic: same
+  // factors, same updates, same nonbasic resting points.
   EXPECT_DOUBLE_EQ(replay.objective_value(), donor.objective_value());
   const double rel = 1e-8 * (1.0 + std::abs(donor.objective_value()));
   EXPECT_NEAR(refact.objective_value(), donor.objective_value(), rel);
@@ -196,7 +388,7 @@ TEST(KernelCrossCheck, SnapshotSurvivesDonorMutation) {
   const double exported_obj = donor.objective_value();
 
   // Mutate the donor's kernel state thoroughly after the export: pivot,
-  // refactorize, accumulate and discard etas. The tightened rounds need not
+  // refactorize, accumulate and discard updates. The tightened rounds need not
   // stay feasible — any churn serves — but the original bounds are restored
   // before the final comparison.
   for (int round = 0; round < 4; ++round) {

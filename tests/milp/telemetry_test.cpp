@@ -398,6 +398,40 @@ TEST(TelemetryTest, PseudocostCountersTrackBranching) {
   EXPECT_EQ(r.metrics.at("milp.branch.uninitialized"), 0.0);
 }
 
+TEST(TelemetryTest, RefactorCausesSumToRefactors) {
+  // Every refactorization has exactly one cause, so the per-cause counters
+  // partition milp.refactors, in Solution::metrics and in the Prometheus
+  // text alike. The knapsack's tree is capped: the partition holds at any
+  // point of the search.
+  const auto p = domains::epn::make_problem(domains::epn::tiny_config());
+  const Model models[] = {compile(*p).base_model(), hard_knapsack_fixture(50, 42)};
+  for (const Model& m : models) {
+    const bool epn = &m == &models[0];
+    obs::MetricsRegistry reg;
+    MilpOptions o;
+    o.num_threads = 1;
+    o.max_nodes = 20'000;
+    o.metrics = &reg;
+    const Solution s = solve_milp(m, o);
+    ASSERT_TRUE(s.has_incumbent);
+    const std::string text = obs::prometheus_text(reg);
+    double sum = 0.0;
+    for (std::size_t c = 0; c < kRefactorCauses; ++c) {
+      const std::string cause = to_string(static_cast<RefactorCause>(c));
+      const auto it = s.metrics.find("milp.refactors." + cause);
+      ASSERT_NE(it, s.metrics.end()) << cause;
+      sum += it->second;
+      EXPECT_NE(text.find("archex_milp_refactors_" + cause + "_total"), std::string::npos)
+          << cause;
+    }
+    // The knapsack's one-row bases may never need one in the capped tree.
+    if (epn) {
+      EXPECT_GT(s.metrics.at("milp.refactors"), 0.0);
+    }
+    EXPECT_EQ(sum, s.metrics.at("milp.refactors"));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Live node log
 // ---------------------------------------------------------------------------

@@ -291,6 +291,27 @@ TEST(MetricsTest, SnapshotAndPrometheusExposeTimerMax) {
   EXPECT_NE(text.find("archex_phase_max_seconds 3\n"), std::string::npos);
 }
 
+TEST(SpanTest, ProblemSolveRecordsOneCompileAndOneFormulateSpan) {
+  // Problem::solve compiles the problem (its `compile` span, the
+  // arch.compile timer), then arch::solve instantiates the scenario (its
+  // `formulate` span): two regions, two names.
+  Recorder rec;
+  auto problem = domains::epn::make_problem(domains::epn::tiny_config(), &rec);
+  milp::MilpOptions opts;
+  opts.num_threads = 1;
+  const ExplorationResult res = problem->solve(opts);
+  ASSERT_TRUE(res.feasible());
+  int compile = 0;
+  int formulate = 0;
+  for (const Recorder::Span& s : rec.spans()) {
+    compile += s.name == span_id(SpanName::Compile) ? 1 : 0;
+    formulate += s.name == span_id(SpanName::Formulate) ? 1 : 0;
+  }
+  EXPECT_EQ(compile, 1);
+  EXPECT_EQ(formulate, 1);
+  EXPECT_EQ(res.solution.metrics.count("arch.compile.count"), 1u);
+}
+
 TEST(PerfReportTest, EpnEncodeAttributionIsNearComplete) {
   using namespace archex::domains::epn;
   Recorder rec;

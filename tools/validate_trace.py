@@ -2,6 +2,7 @@
 """Validates a solver trace against the schemas in docs/observability.md.
 
 Usage: validate_trace.py <trace.jsonl> [--min-workers=N]
+       validate_trace.py --lp <trace.jsonl>
        validate_trace.py --chrome <profile.json> [--require=name,name,...]
 
 Default (JSONL) mode checks, in order:
@@ -14,6 +15,11 @@ Default (JSONL) mode checks, in order:
   * exactly one solve_start and at most one solve_end;
   * node, incumbent events are present, and with --min-workers=2 (the CI
     setting for a parallel solve) steal events and >= N distinct workers.
+
+--lp mode validates an LP-relaxation trace (`milp_solve --lp-relaxation`):
+the same per-line checks, then exactly one solve_start and one solve_end
+and no tree events (node_open, node_close, incumbent, steal): one LP solve
+has no search tree.
 
 --chrome mode validates the span profiler's Chrome trace-event export
 (`milp_solve --profile-json`, obs/span.hpp):
@@ -59,7 +65,10 @@ def fail(lineno, msg):
     return 1
 
 
-def validate(path, min_workers):
+TREE_EVENTS = ("node_open", "node_close", "incumbent", "steal")
+
+
+def validate(path, min_workers, lp=False):
     counts = {}
     workers = set()
     prev_t = -1.0
@@ -109,7 +118,13 @@ def validate(path, min_workers):
         return fail(lineno, f"expected exactly 1 solve_start, got {counts.get('solve_start', 0)}")
     if counts.get("solve_end", 0) > 1:
         return fail(lineno, f"expected at most 1 solve_end, got {counts['solve_end']}")
-    for required in ("node_open", "node_close", "incumbent"):
+    if lp:
+        if counts.get("solve_end", 0) != 1:
+            return fail(lineno, "LP trace: expected exactly 1 solve_end, got 0")
+        for tree in TREE_EVENTS:
+            if counts.get(tree, 0) != 0:
+                return fail(lineno, f"LP trace has {tree} events")
+    for required in () if lp else ("node_open", "node_close", "incumbent"):
         if counts.get(required, 0) == 0:
             return fail(lineno, f"no {required} events")
     if len(workers) < min_workers:
@@ -212,6 +227,7 @@ def validate_chrome(path, require):
 def main(argv):
     min_workers = 1
     chrome = False
+    lp = False
     require = []
     paths = []
     for arg in argv[1:]:
@@ -219,6 +235,8 @@ def main(argv):
             min_workers = int(arg.split("=", 1)[1])
         elif arg == "--chrome":
             chrome = True
+        elif arg == "--lp":
+            lp = True
         elif arg.startswith("--require="):
             require = [n for n in arg.split("=", 1)[1].split(",") if n]
         elif arg.startswith("-"):
@@ -232,9 +250,12 @@ def main(argv):
     if require and not chrome:
         print("--require only applies to --chrome mode", file=sys.stderr)
         return 2
+    if chrome and lp:
+        print("--lp and --chrome are separate modes", file=sys.stderr)
+        return 2
     if chrome:
         return validate_chrome(paths[0], require)
-    return validate(paths[0], min_workers)
+    return validate(paths[0], min_workers, lp)
 
 
 if __name__ == "__main__":
