@@ -151,13 +151,14 @@ class SparseLuBasis final : public BasisRep {
         lu_(std::make_shared<const LuData>()),
         solve_scratch_(m, 0.0),
         spike_(m, 0.0),
+        row_hit_(m, 0),
         eta_scratch_(m, 0.0),
-        pos_scratch_(m, 0.0) {}
+        pos_scratch_(m + 1, 0.0) {}
 
   bool factorize(const std::int32_t* col_start, const ColEntry* col_ent,
                  const std::vector<std::int32_t>& basic) override;
   void ftran(std::vector<double>& x) const override;
-  void ftran_entering(std::vector<double>& x) override;
+  void ftran_entering(std::vector<double>& x, std::vector<std::int32_t>& nz) override;
   void btran(std::vector<double>& x) const override;
   void btran_unit(std::size_t r, std::vector<double>& x) const override;
   void update(const std::vector<double>& w, std::size_t r,
@@ -186,7 +187,7 @@ class SparseLuBasis final : public BasisRep {
     lu_ = state->lu;
     ft_ = state->updates;
     spike_valid_ = false;
-    unit_pos_ = -1;
+    row_eta_pos_ = -1;
     index_slots();
     return true;
   }
@@ -204,18 +205,27 @@ class SparseLuBasis final : public BasisRep {
   // need no mark: ftran's back substitution only subtracts them from rows it
   // has already consumed.
 
-  /// x := R_k ... R_1 L^-1 x on a row-indexed vector.
+  /// x := R_k ... R_1 L^-1 x on a row-indexed vector. Tracked (the
+  /// entering column), every row it writes joins hit_rows_, so the spike
+  /// copy visits those rows only.
+  template <bool kTrack>
   void lower_solve(std::vector<double>& x) const;
-  /// x := U^-1 x: row-indexed in, position-indexed out.
-  void upper_solve(std::vector<double>& x) const;
-  /// z[row] := x[pos] / diag for the live slots in pivot order, subtracting
-  /// each row of U times z[row] from the position-indexed x: U^T z = x in
-  /// scatter form, skipping rows whose z is zero.
-  void upper_t_solve(double* x, double* z) const;
-  /// upper_t_solve for a right-hand side that is zero outside slot `from`'s
-  /// position: visits only the slots U's rows reach from it (left in
-  /// reach_, ascending), writes z on their rows only, and leaves x all zero.
-  void upper_t_solve_unit(std::size_t from, double* x, double* z) const;
+  /// x := U^-1 x: row-indexed in, position-indexed out. With `nz`, the
+  /// positions of the nonzero results are appended to it.
+  void upper_solve(std::vector<double>& x, std::vector<std::int32_t>* nz) const;
+  /// Lists row in hit_rows_ once.
+  void hit(std::size_t row) const {
+    if (row_hit_[row] != 0) return;
+    row_hit_[row] = 1;
+    hit_rows_.push_back(static_cast<std::int32_t>(row));
+  }
+  /// U^T z = x in scatter form, for the position-indexed x in pos_scratch_,
+  /// zero on the slots before `first`: z[row] := x[pos] / diag for the live
+  /// slots from `first` on in pivot order, subtracting each row of U times
+  /// z[row] from the later slots' positions. Consumes x (left all zero) and
+  /// writes only the nonzero z, so z must start zero on the swept slots'
+  /// rows. With `nz`, lists (row, z) for the nonzero z in pivot order.
+  void upper_t_solve(std::size_t first, double* z, std::vector<ColEntry>* nz) const;
   /// z := L^-T R_1^T ... R_k^T z, the rest of btran after the U^T solve.
   void btran_tail(std::vector<double>& z) const;
   /// x[position] -= t * U(row of slot s, position) over the row's live
@@ -241,6 +251,19 @@ class SparseLuBasis final : public BasisRep {
   std::vector<std::uint8_t> dead_;          ///< per slot: factors' m, then updates
   std::vector<std::int32_t> slot_of_pos_;   ///< live slot of each basis position
   std::vector<std::uint8_t> col_replaced_;  ///< per position: factor column superseded
+  /// Basis position of each factor slot, m once the slot is dead, so the
+  /// U^T sweep reads the always-zero pos_scratch_[m] there instead of
+  /// testing dead_.
+  std::vector<std::int32_t> slot_pos_;
+  /// The live factor slots with an empty U column, packed for the U solve's
+  /// last pass; `unit_at_` is each factor slot's index here, -1 for others.
+  struct UnitSlot {
+    std::int32_t row;
+    std::int32_t pos;
+    double diag_inv;
+  };
+  std::vector<UnitSlot> units_;
+  std::vector<std::int32_t> unit_at_;
   /// Spike entries by row, pooled: one list per row, newest update first.
   struct SpikeLink {
     std::int32_t update;
@@ -267,19 +290,19 @@ class SparseLuBasis final : public BasisRep {
 
   mutable std::vector<double> solve_scratch_;  ///< U-solve / U^T-solve output
   std::vector<double> spike_;        ///< entering column after L and the row etas
-  std::vector<std::int32_t> spike_nz_;  ///< rows where spike_ is nonzero, ascending
+  std::vector<std::int32_t> spike_nz_;  ///< rows where spike_ is nonzero
+  mutable std::vector<std::int32_t> hit_rows_;  ///< rows a tracked solve wrote
+  mutable std::vector<std::uint8_t> row_hit_;   ///< per row: in hit_rows_ (zero between solves)
   bool spike_valid_ = false;         ///< spike_ belongs to the current factors
-  std::vector<double> eta_scratch_;  ///< row-indexed work of update()
-  /// Position of the last btran_unit() since the factors changed (-1 none)
-  /// and its U^T solve on the reached slots' rows, in pivot order.
-  mutable std::int32_t unit_pos_ = -1;
-  mutable std::vector<ColEntry> unit_z_;
-  /// Position-indexed work of the unit U^T solves; all zero between them.
+  std::vector<double> eta_scratch_;  ///< row-indexed sink of update()'s U^T solve
+  /// Nonzeros of U^-T e_r in pivot order (the next update's row eta up to a
+  /// factor) and the position r they belong to, -1 when stale: the simplex
+  /// pivots on the row it has just btran'd, so update() finds them ready.
+  mutable std::vector<ColEntry> row_eta_;
+  mutable std::int32_t row_eta_pos_ = -1;
+  /// Position-indexed right-hand side of the U^T solves, one entry past m
+  /// that stays zero (see slot_pos_); all zero between solves.
   mutable std::vector<double> pos_scratch_;
-  // upper_t_solve_unit(): the slots a unit right-hand side reaches.
-  mutable std::vector<std::int32_t> reach_;
-  mutable std::vector<std::int32_t> reach_mark_;  ///< per slot: stamp of last visit
-  mutable std::int32_t reach_stamp_ = 0;
 
   // Factorization workspace (reused across refactorizations).
   std::vector<std::vector<ColEntry>> wcols_;      ///< working columns (active rows)
@@ -322,7 +345,7 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
                               const std::vector<std::int32_t>& basic) {
   ft_.clear();
   spike_valid_ = false;
-  unit_pos_ = -1;
+  row_eta_pos_ = -1;
   const bool ok = eliminate(col_start, col_ent, basic);
   index_slots();  // a failed elimination keeps the previous factors
   return ok;
@@ -381,10 +404,7 @@ bool SparseLuBasis::eliminate(const std::int32_t* col_start, const ColEntry* col
   }
 
   std::vector<char> pos_done(m_, 0);
-  lu->pivot_row.resize(m_);
-  lu->pivot_pos.resize(m_);
-  lu->u_diag.resize(m_);
-  lu->u_diag_inv.resize(m_);
+  lu->piv.resize(m_);
   lu->ur_start.assign(1, 0);
 
   std::vector<std::int32_t> lrows;
@@ -465,6 +485,19 @@ bool SparseLuBasis::eliminate(const std::int32_t* col_start, const ColEntry* col
       const std::size_t q = static_cast<std::size_t>(q32);
       if (pos_done[q] || q == ppos) continue;
       auto& wc = wcols_[q];
+      if (lrows.empty()) {
+        // A column-singleton pivot (slack-like, most of a simplex basis)
+        // creates no fill: the pivot row's entry just moves to U.
+        const auto at = std::find_if(wc.begin(), wc.end(), [&](const ColEntry& e) {
+          return static_cast<std::size_t>(e.row) == prow;
+        });
+        if (at == wc.end()) continue;  // stale pattern entry: skip
+        lu->ur_ent.push_back({q32, at->val});
+        wc.erase(at);
+        bkt_unlink(q32);
+        bkt_link(q32, static_cast<std::int32_t>(wc.size()));
+        continue;
+      }
       ++stamp_;
       for (const ColEntry& e : wc) {
         wval_[static_cast<std::size_t>(e.row)] = e.val;
@@ -511,10 +544,8 @@ bool SparseLuBasis::eliminate(const std::int32_t* col_start, const ColEntry* col
     }
 
     // Retire the pivot.
-    lu->pivot_row[static_cast<std::size_t>(k)] = static_cast<std::int32_t>(prow);
-    lu->pivot_pos[static_cast<std::size_t>(k)] = static_cast<std::int32_t>(ppos);
-    lu->u_diag[static_cast<std::size_t>(k)] = pval;
-    lu->u_diag_inv[static_cast<std::size_t>(k)] = 1.0 / pval;
+    lu->piv[k] = {static_cast<std::int32_t>(prow), static_cast<std::int32_t>(ppos), pval,
+                  1.0 / pval};
     if (!lrows.empty()) {
       lu->l_row.push_back(static_cast<std::int32_t>(prow));
       for (std::size_t t = 0; t < lrows.size(); ++t) {
@@ -533,7 +564,7 @@ bool SparseLuBasis::eliminate(const std::int32_t* col_start, const ColEntry* col
   // column of q's pivot as (pivot row of k, value).
   std::vector<std::int32_t>& pivot_of_pos = row_count_;  // free after elimination
   for (std::size_t k = 0; k < m_; ++k) {
-    pivot_of_pos[static_cast<std::size_t>(lu->pivot_pos[k])] = static_cast<std::int32_t>(k);
+    pivot_of_pos[static_cast<std::size_t>(lu->piv[k].pos)] = static_cast<std::int32_t>(k);
   }
   lu->u_start.assign(m_ + 1, 0);
   for (const ColEntry& e : lu->ur_ent) {
@@ -546,8 +577,12 @@ bool SparseLuBasis::eliminate(const std::int32_t* col_start, const ColEntry* col
     for (std::int32_t t = lu->ur_start[k]; t < lu->ur_start[k + 1]; ++t) {
       const ColEntry& e = lu->ur_ent[static_cast<std::size_t>(t)];
       const auto col = static_cast<std::size_t>(pivot_of_pos[static_cast<std::size_t>(e.row)]);
-      lu->u_ent[static_cast<std::size_t>(fill_at[col]++)] = {lu->pivot_row[k], e.val};
+      lu->u_ent[static_cast<std::size_t>(fill_at[col]++)] = {lu->piv[k].row, e.val};
     }
+  }
+
+  for (std::size_t k = 0; k < m_; ++k) {
+    if (lu->u_start[k] < lu->u_start[k + 1]) lu->u_cols.push_back(static_cast<std::int32_t>(k));
   }
 
   lu_ = std::move(lu);
@@ -556,7 +591,17 @@ bool SparseLuBasis::eliminate(const std::int32_t* col_start, const ColEntry* col
 
 void SparseLuBasis::index_update(std::size_t u) {
   const auto r = static_cast<std::size_t>(ft_.pos[u]);
-  dead_[static_cast<std::size_t>(slot_of_pos_[r])] = 1;
+  const auto old = static_cast<std::size_t>(slot_of_pos_[r]);
+  dead_[old] = 1;
+  if (old < m_) slot_pos_[old] = static_cast<std::int32_t>(m_);
+  if (old < m_ && unit_at_[old] >= 0) {
+    const std::int32_t at = unit_at_[old];
+    const UnitSlot last = units_.back();
+    units_[static_cast<std::size_t>(at)] = last;
+    unit_at_[static_cast<std::size_t>(slot_of_pos_[static_cast<std::size_t>(last.pos)])] = at;
+    units_.pop_back();
+    unit_at_[old] = -1;
+  }
   slot_of_pos_[r] = static_cast<std::int32_t>(m_ + u);
   col_replaced_[r] = 1;
   // The row moved past every earlier spike: its entries there are gone.
@@ -574,8 +619,15 @@ void SparseLuBasis::index_slots() {
   const LuData& lu = *lu_;
   dead_.assign(m_ + ft_.pos.size(), 0);
   slot_of_pos_.resize(m_);
-  for (std::size_t k = 0; k < lu.pivot_pos.size(); ++k) {
-    slot_of_pos_[static_cast<std::size_t>(lu.pivot_pos[k])] = static_cast<std::int32_t>(k);
+  slot_pos_.resize(m_);
+  units_.clear();
+  unit_at_.assign(m_, -1);
+  for (std::size_t k = 0; k < lu.piv.size(); ++k) {
+    slot_of_pos_[static_cast<std::size_t>(lu.piv[k].pos)] = static_cast<std::int32_t>(k);
+    slot_pos_[k] = lu.piv[k].pos;
+    if (lu.u_start[k] < lu.u_start[k + 1]) continue;
+    unit_at_[k] = static_cast<std::int32_t>(units_.size());
+    units_.push_back({lu.piv[k].row, lu.piv[k].pos, lu.piv[k].diag_inv});
   }
   col_replaced_.assign(m_, 0);
   spike_links_.clear();
@@ -584,6 +636,7 @@ void SparseLuBasis::index_slots() {
   for (std::size_t u = 0; u < ft_.pos.size(); ++u) index_update(u);
 }
 
+template <bool kTrack>
 void SparseLuBasis::lower_solve(std::vector<double>& x) const {
   const LuData& lu = *lu_;
   // L etas in pivot order.
@@ -593,6 +646,7 @@ void SparseLuBasis::lower_solve(std::vector<double>& x) const {
     for (std::int32_t t = lu.l_start[j]; t < lu.l_start[j + 1]; ++t) {
       const ColEntry& en = lu.l_ent[static_cast<std::size_t>(t)];
       x[static_cast<std::size_t>(en.row)] -= en.val * xk;
+      if constexpr (kTrack) hit(static_cast<std::size_t>(en.row));
     }
   }
   // Row etas, oldest first.
@@ -602,34 +656,55 @@ void SparseLuBasis::lower_solve(std::vector<double>& x) const {
       const ColEntry& en = ft_.eta_ent[static_cast<std::size_t>(t)];
       s += en.val * x[static_cast<std::size_t>(en.row)];
     }
-    x[static_cast<std::size_t>(ft_.row[u])] += s;
+    const auto row = static_cast<std::size_t>(ft_.row[u]);
+    x[row] += s;
+    if constexpr (kTrack) {
+      if (s != 0.0) hit(row);
+    }
   }
 }
 
-void SparseLuBasis::upper_solve(std::vector<double>& x) const {
+void SparseLuBasis::upper_solve(std::vector<double>& x, std::vector<std::int32_t>* nz) const {
   // Back substitution in scatter form over the columns, last slot first.
   const LuData& lu = *lu_;
   std::vector<double>& y = solve_scratch_;
+  std::fill(y.begin(), y.end(), 0.0);  // only nonzero results are written below
+  auto solve = [&](std::size_t pos, double v, const ColEntry* col, const ColEntry* col_end) {
+    y[pos] = v;
+    if (nz != nullptr && std::abs(v) >= kTiny) nz->push_back(static_cast<std::int32_t>(pos));
+    for (; col != col_end; ++col) x[static_cast<std::size_t>(col->row)] -= col->val * v;
+  };
   for (std::size_t u = ft_.pos.size(); u-- > 0;) {
-    if (dead_[m_ + u] != 0) continue;
-    const double v = x[static_cast<std::size_t>(ft_.row[u])] * ft_.diag_inv[u];
-    y[static_cast<std::size_t>(ft_.pos[u])] = v;
-    if (v == 0.0) continue;
-    for (std::int32_t t = ft_.col_start[u]; t < ft_.col_start[u + 1]; ++t) {
-      const ColEntry& en = ft_.col_ent[static_cast<std::size_t>(t)];
-      x[static_cast<std::size_t>(en.row)] -= en.val * v;
+    const double xr = x[static_cast<std::size_t>(ft_.row[u])];
+    if (xr == 0.0 || dead_[m_ + u] != 0) continue;
+    solve(static_cast<std::size_t>(ft_.pos[u]), xr * ft_.diag_inv[u],
+          ft_.col_ent.data() + ft_.col_start[u], ft_.col_ent.data() + ft_.col_start[u + 1]);
+  }
+  for (std::size_t c = lu.u_cols.size(); c-- > 0;) {
+    const auto k = static_cast<std::size_t>(lu.u_cols[c]);
+    const LuData::Pivot& pv = lu.piv[k];
+    const double xr = x[static_cast<std::size_t>(pv.row)];
+    if (xr == 0.0 || dead_[k] != 0) continue;  // most columns: nothing reaches them
+    solve(static_cast<std::size_t>(pv.pos), xr * pv.diag_inv, lu.u_ent.data() + lu.u_start[k],
+          lu.u_ent.data() + lu.u_start[k + 1]);
+  }
+  // Empty columns subtract nothing, and no earlier column reaches their
+  // rows: their values are final once every longer column is done. Their
+  // nonzeros are listed branch-free (most are zero, unpredictably).
+  std::size_t listed = 0;
+  if (nz != nullptr) {
+    listed = nz->size();
+    nz->resize(listed + units_.size());
+  }
+  for (const UnitSlot& e : units_) {
+    const double v = x[static_cast<std::size_t>(e.row)] * e.diag_inv;
+    y[static_cast<std::size_t>(e.pos)] = v;
+    if (nz != nullptr) {
+      (*nz)[listed] = e.pos;
+      listed += std::abs(v) >= kTiny ? 1 : 0;
     }
   }
-  for (std::size_t k = lu.pivot_row.size(); k-- > 0;) {
-    if (dead_[k] != 0) continue;
-    const double v = x[static_cast<std::size_t>(lu.pivot_row[k])] * lu.u_diag_inv[k];
-    y[static_cast<std::size_t>(lu.pivot_pos[k])] = v;
-    if (v == 0.0) continue;
-    for (std::int32_t t = lu.u_start[k]; t < lu.u_start[k + 1]; ++t) {
-      const ColEntry& en = lu.u_ent[static_cast<std::size_t>(t)];
-      x[static_cast<std::size_t>(en.row)] -= en.val * v;
-    }
-  }
+  if (nz != nullptr) nz->resize(listed);
   copy_dropping_tiny(y, x);
 }
 
@@ -643,91 +718,59 @@ void SparseLuBasis::scatter_row(std::size_t s, double t, double* x) const {
         x[en.row] -= en.val * t;
       }
     }
-    row = static_cast<std::size_t>(lu.pivot_row[s]);
+    row = static_cast<std::size_t>(lu.piv[s].row);
   } else {
     row = static_cast<std::size_t>(ft_.row[s - m_]);
   }
   for_row_spikes(row, [&](std::size_t u, double val) { x[ft_.pos[u]] -= val * t; });
 }
 
-void SparseLuBasis::upper_t_solve(double* x, double* z) const {
+void SparseLuBasis::upper_t_solve(std::size_t first, double* z,
+                                  std::vector<ColEntry>* nz) const {
   const LuData& lu = *lu_;
-  for (std::size_t k = 0; k < m_; ++k) {
-    if (dead_[k] != 0) continue;
-    const double t = x[lu.pivot_pos[k]] * lu.u_diag_inv[k];
-    z[lu.pivot_row[k]] = t;
-    if (t != 0.0) scatter_row(k, t, x);
-  }
-  for (std::size_t u = 0; u < ft_.pos.size(); ++u) {
-    if (dead_[m_ + u] != 0) continue;
-    const double t = x[ft_.pos[u]] * ft_.diag_inv[u];
-    z[ft_.row[u]] = t;
-    if (t != 0.0) scatter_row(m_ + u, t, x);
-  }
-}
-
-void SparseLuBasis::upper_t_solve_unit(std::size_t from, double* x, double* z) const {
-  const LuData& lu = *lu_;
-  if (reach_mark_.size() < dead_.size()) reach_mark_.resize(dead_.size(), 0);
-  if (++reach_stamp_ == std::numeric_limits<std::int32_t>::max()) {
-    std::fill(reach_mark_.begin(), reach_mark_.end(), 0);
-    reach_stamp_ = 1;
-  }
-  auto visit = [&](std::size_t t) {
-    if (reach_mark_[t] == reach_stamp_) return;
-    reach_mark_[t] = reach_stamp_;
-    reach_.push_back(static_cast<std::int32_t>(t));
+  double* const x = pos_scratch_.data();
+  auto solve = [&](std::size_t s, std::size_t pos, std::size_t row, double diag_inv) {
+    const double xs = x[pos];
+    if (xs == 0.0) return;
+    x[pos] = 0.0;
+    const double t = xs * diag_inv;
+    z[row] = t;
+    if (nz != nullptr) nz->push_back({static_cast<std::int32_t>(row), t});
+    scatter_row(s, t, x);
   };
-  // Depth-first along U's rows over a stack kept in reach_ itself: [0, top)
-  // is visited, [top, size) waits. Pivot order is a topological order, so
-  // sorting the visited set replaces post-order bookkeeping.
-  reach_.clear();
-  visit(from);
-  for (std::size_t top = 0; top < reach_.size(); ++top) {
-    const auto s = static_cast<std::size_t>(reach_[top]);
-    std::size_t row;
-    if (s < m_) {
-      for (std::int32_t e = lu.ur_start[s]; e < lu.ur_start[s + 1]; ++e) {
-        const auto q = static_cast<std::size_t>(lu.ur_ent[static_cast<std::size_t>(e)].row);
-        if (col_replaced_[q] == 0) visit(static_cast<std::size_t>(slot_of_pos_[q]));
-      }
-      row = static_cast<std::size_t>(lu.pivot_row[s]);
-    } else {
-      row = static_cast<std::size_t>(ft_.row[s - m_]);
-    }
-    for_row_spikes(row, [&](std::size_t u, double /*val*/) { visit(m_ + u); });
+  for (std::size_t k = first; k < m_; ++k) {
+    const auto pos = static_cast<std::size_t>(slot_pos_[k]);
+    if (x[pos] == 0.0) continue;  // most slots: nothing reaches them
+    solve(k, pos, static_cast<std::size_t>(lu.piv[k].row), lu.piv[k].diag_inv);
   }
-  std::sort(reach_.begin(), reach_.end());
-  for (const std::int32_t s32 : reach_) {
-    const auto s = static_cast<std::size_t>(s32);
-    const bool f = s < m_;
-    const std::size_t u = s - m_;
-    const double t = x[f ? lu.pivot_pos[s] : ft_.pos[u]] * (f ? lu.u_diag_inv[s] : ft_.diag_inv[u]);
-    z[f ? lu.pivot_row[s] : ft_.row[u]] = t;
-    if (t != 0.0) scatter_row(s, t, x);
-  }
-  // Every position written above belongs to a reached slot: clear them.
-  for (const std::int32_t s32 : reach_) {
-    const auto s = static_cast<std::size_t>(s32);
-    x[s < m_ ? lu.pivot_pos[s] : ft_.pos[s - m_]] = 0.0;
+  for (std::size_t u = first > m_ ? first - m_ : 0; u < ft_.pos.size(); ++u) {
+    if (dead_[m_ + u] != 0) continue;
+    solve(m_ + u, static_cast<std::size_t>(ft_.pos[u]),
+          static_cast<std::size_t>(ft_.row[u]), ft_.diag_inv[u]);
   }
 }
 
 void SparseLuBasis::ftran(std::vector<double>& x) const {
-  lower_solve(x);
-  upper_solve(x);
+  lower_solve<false>(x);
+  upper_solve(x, nullptr);
 }
 
-void SparseLuBasis::ftran_entering(std::vector<double>& x) {
-  lower_solve(x);
+void SparseLuBasis::ftran_entering(std::vector<double>& x, std::vector<std::int32_t>& nz) {
+  hit_rows_.clear();
+  for (const std::int32_t i : nz) hit(static_cast<std::size_t>(i));
+  lower_solve<true>(x);
+  for (const std::int32_t i : spike_nz_) spike_[static_cast<std::size_t>(i)] = 0.0;
   spike_nz_.clear();
-  for (std::size_t i = 0; i < m_; ++i) {
-    const double v = std::abs(x[i]) < kTiny ? 0.0 : x[i];
-    spike_[i] = v;
-    if (v != 0.0) spike_nz_.push_back(static_cast<std::int32_t>(i));
+  for (const std::int32_t i : hit_rows_) {
+    const double v = x[static_cast<std::size_t>(i)];
+    if (std::abs(v) < kTiny) continue;
+    spike_[static_cast<std::size_t>(i)] = v;
+    spike_nz_.push_back(i);
   }
   spike_valid_ = true;
-  upper_solve(x);
+  nz.clear();
+  upper_solve(x, &nz);
+  for (const std::int32_t i : hit_rows_) row_hit_[static_cast<std::size_t>(i)] = 0;
 }
 
 void SparseLuBasis::btran_tail(std::vector<double>& z) const {
@@ -755,28 +798,22 @@ void SparseLuBasis::btran_tail(std::vector<double>& z) const {
 
 void SparseLuBasis::btran(std::vector<double>& x) const {
   std::vector<double>& z = solve_scratch_;
-  upper_t_solve(x.data(), z.data());
+  std::fill(z.begin(), z.end(), 0.0);
+  std::copy(x.begin(), x.end(), pos_scratch_.begin());
+  upper_t_solve(0, z.data(), nullptr);
   btran_tail(z);
   copy_dropping_tiny(z, x);
 }
 
 void SparseLuBasis::btran_unit(std::size_t r, std::vector<double>& x) const {
   std::fill(x.begin(), x.end(), 0.0);
+  // Slots before r's come out zero: the sweep starts at r's.
   pos_scratch_[r] = 1.0;
-  upper_t_solve_unit(static_cast<std::size_t>(slot_of_pos_[r]), pos_scratch_.data(), x.data());
-  // U^-T e_r is the next update's row eta up to a factor, when the simplex
-  // pivots on row r: keep it.
-  unit_pos_ = static_cast<std::int32_t>(r);
-  unit_z_.clear();
-  for (const std::int32_t s32 : reach_) {
-    const auto s = static_cast<std::size_t>(s32);
-    const std::int32_t row = s < m_ ? lu_->pivot_row[s] : ft_.row[s - m_];
-    unit_z_.push_back({row, x[static_cast<std::size_t>(row)]});
-  }
+  row_eta_.clear();
+  upper_t_solve(static_cast<std::size_t>(slot_of_pos_[r]), x.data(), &row_eta_);
+  row_eta_pos_ = static_cast<std::int32_t>(r);
   btran_tail(x);
-  for (double& v : x) {
-    if (std::abs(v) < kTiny) v = 0.0;
-  }
+  for (double& v : x) v = std::abs(v) < kTiny ? 0.0 : v;
 }
 
 void SparseLuBasis::update(const std::vector<double>& w, std::size_t r,
@@ -789,31 +826,26 @@ void SparseLuBasis::update(const std::vector<double>& w, std::size_t r,
   spike_valid_ = false;
   const auto p = static_cast<std::size_t>(slot_of_pos_[r]);
   const LuData& lu = *lu_;
-  const auto prow = static_cast<std::size_t>(p < m_ ? lu.pivot_row[p] : ft_.row[p - m_]);
-  const double pdiag = p < m_ ? lu.u_diag[p] : ft_.diag[p - m_];
+  const auto prow = static_cast<std::size_t>(p < m_ ? lu.piv[p].row : ft_.row[p - m_]);
+  const double pdiag = p < m_ ? lu.piv[p].diag : ft_.diag[p - m_];
 
   // Row eta: the multipliers v with v[prow] = 1 and v^T U zero past slot
-  // p, i.e. U^T v = pdiag * e_r, whose reach from slot p starts at p. A
-  // btran_unit(r) since the last update already solved U^T z = e_r.
-  if (unit_pos_ != static_cast<std::int32_t>(r)) {
+  // p, i.e. U^T v = pdiag * e_r, whose solve starts at slot p. Unless
+  // btran_unit(r) left it, solve it here.
+  if (row_eta_pos_ != static_cast<std::int32_t>(r)) {
     pos_scratch_[r] = 1.0;
-    upper_t_solve_unit(p, pos_scratch_.data(), eta_scratch_.data());
-    unit_z_.clear();
-    for (const std::int32_t s32 : reach_) {
-      const auto s = static_cast<std::size_t>(s32);
-      const std::int32_t row = s < m_ ? lu.pivot_row[s] : ft_.row[s - m_];
-      unit_z_.push_back({row, eta_scratch_[static_cast<std::size_t>(row)]});
-    }
+    row_eta_.clear();
+    upper_t_solve(p, eta_scratch_.data(), &row_eta_);
   }
-  unit_pos_ = -1;
+  row_eta_pos_ = -1;
   // The eliminated row's new diagonal is the row eta applied to the spike;
   // it must equal w[r] times the old diagonal up to round-off.
   double diag = spike_[prow];
-  for (std::size_t j = 1; j < unit_z_.size(); ++j) {  // unit_z_[0] is prow's
-    const double vi = pdiag * unit_z_[j].val;
+  for (std::size_t j = 1; j < row_eta_.size(); ++j) {  // row_eta_[0] is prow's
+    const double vi = pdiag * row_eta_[j].val;
     if (vi == 0.0) continue;
-    ft_.eta_ent.push_back({unit_z_[j].row, vi});
-    diag += vi * spike_[static_cast<std::size_t>(unit_z_[j].row)];
+    ft_.eta_ent.push_back({row_eta_[j].row, vi});
+    diag += vi * spike_[static_cast<std::size_t>(row_eta_[j].row)];
   }
   const double expected = w[r] * pdiag;
   if (!(std::abs(diag - expected) <= kFtAccuracyTol * std::abs(expected))) {

@@ -44,8 +44,15 @@ enum class BasisKernel : std::uint8_t { SparseLu, Dense };
 /// order. Immutable once built; shared by snapshots across threads.
 struct LuData {
   std::size_t m = 0;
-  std::vector<std::int32_t> pivot_row;  ///< original row of pivot k
-  std::vector<std::int32_t> pivot_pos;  ///< basis position of pivot k
+  /// Pivot k: its original row, basis position and value (with the
+  /// reciprocal, so the solves multiply), side by side for the solves.
+  struct Pivot {
+    std::int32_t row;
+    std::int32_t pos;
+    double diag;
+    double diag_inv;
+  };
+  std::vector<Pivot> piv;
   /// L as elementary column etas in pivot order, empty ones left out (on
   /// simplex bases L is nearly the identity): eta j eliminates below pivot
   /// row `l_row[j]` with the (original row, multiplier) entries
@@ -61,8 +68,10 @@ struct LuData {
   /// positions pivoted after k.
   std::vector<std::int32_t> ur_start{0};  ///< size m+1
   std::vector<ColEntry> ur_ent;
-  std::vector<double> u_diag;      ///< pivot value per k
-  std::vector<double> u_diag_inv;  ///< 1/u_diag, so the solves multiply
+  /// Pivots whose U column has off-diagonal entries, ascending. The rest
+  /// (most of a simplex basis: slack-like columns) only scale their row at
+  /// the end of a U solve, so the back substitution sweeps just these.
+  std::vector<std::int32_t> u_cols;
 
   /// Nonzeros of L and U (U counted once).
   [[nodiscard]] std::size_t nnz() const { return l_ent.size() + u_ent.size() + m; }
@@ -135,9 +144,17 @@ class BasisRep {
   /// x := B^-1 x. Input row-indexed, output position-indexed.
   virtual void ftran(std::vector<double>& x) const = 0;
 
-  /// ftran of the column about to enter the basis. An updating kernel keeps
-  /// the partial result the next update() needs (the Forrest–Tomlin spike).
-  virtual void ftran_entering(std::vector<double>& x) { ftran(x); }
+  /// ftran of the column about to enter the basis. On entry `nz` lists the
+  /// rows where x may be nonzero; on return, the positions where it is, in
+  /// no particular order. An updating kernel keeps the partial result the
+  /// next update() needs (the Forrest–Tomlin spike).
+  virtual void ftran_entering(std::vector<double>& x, std::vector<std::int32_t>& nz) {
+    ftran(x);
+    nz.clear();
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (x[i] != 0.0) nz.push_back(static_cast<std::int32_t>(i));
+    }
+  }
 
   /// x := B^-T x. Input position-indexed, output row-indexed.
   virtual void btran(std::vector<double>& x) const = 0;
@@ -151,8 +168,8 @@ class BasisRep {
 
   /// Update after a pivot at basis position `r`; `w` is the ftran_entering
   /// result of the entering column (position-indexed, w[r] != 0) and `wnz`
-  /// lists the positions with w[i] != 0.0 in ascending order (r included),
-  /// so kernels touch only the nonzeros.
+  /// lists the positions with w[i] != 0.0 in any order (r included), so
+  /// kernels touch only the nonzeros.
   virtual void update(const std::vector<double>& w, std::size_t r,
                       const std::vector<std::int32_t>& wnz) = 0;
 

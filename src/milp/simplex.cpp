@@ -210,12 +210,15 @@ void SimplexSolver::initial_basis() {
   pivots_since_refactor_ = 0;
 }
 
-void SimplexSolver::ftran_entering(std::int32_t col, std::vector<double>& w) {
+void SimplexSolver::ftran_entering(std::int32_t col, std::vector<double>& w,
+                                   std::vector<std::int32_t>& wnz) {
   std::fill(w.begin(), w.end(), 0.0);
+  wnz.clear();
   for (const ColEntry& e : this->col(static_cast<std::size_t>(col))) {
     w[static_cast<std::size_t>(e.row)] += e.val;
+    wnz.push_back(e.row);
   }
-  rep_->ftran_entering(w);
+  rep_->ftran_entering(w, wnz);
 }
 
 void SimplexSolver::btran_row(std::size_t r, std::vector<double>& rho) const {
@@ -230,9 +233,18 @@ void SimplexSolver::price_row(const std::vector<double>& rho,
   // must only read through the nonzero list.
   alpha_nz.clear();
   const std::int64_t stamp = ++mark_stamp_;
+  // rho is sparse (tens of nonzeros in hundreds of rows): list its nonzero
+  // rows with a branch-free pass first, then visit only those, in order.
+  std::vector<std::int32_t>& rows = scratch_rho_nz_;
+  rows.resize(m_);
+  std::size_t nrows = 0;
   for (std::size_t i = 0; i < m_; ++i) {
+    rows[nrows] = static_cast<std::int32_t>(i);
+    nrows += rho[i] != 0.0 ? 1 : 0;
+  }
+  for (std::size_t k = 0; k < nrows; ++k) {
+    const std::size_t i = static_cast<std::size_t>(rows[k]);
     const double r = rho[i];
-    if (r == 0.0) continue;
     for (const ColEntry& e : row_adj(i)) {
       const std::size_t j = static_cast<std::size_t>(e.row);  // a column index
       if (scratch_mark_[j] != stamp) {
@@ -291,6 +303,27 @@ void SimplexSolver::update_factors(const std::vector<double>& w, std::size_t r,
                                    const std::vector<std::int32_t>& wnz) {
   rep_->update(w, r, wnz);
   ++pivots_since_refactor_;
+}
+
+void SimplexSolver::rebuild_infeasible() {
+  infeasible_.clear();
+  infeasible_at_.assign(m_, -1);
+  for (std::size_t i = 0; i < m_; ++i) track_infeasible(i);
+}
+
+void SimplexSolver::track_infeasible(std::size_t i) {
+  const bool over = bound_violation(basic_[i]) > opts_.feas_tol;
+  const std::int32_t at = infeasible_at_[i];
+  if (over && at < 0) {
+    infeasible_at_[i] = static_cast<std::int32_t>(infeasible_.size());
+    infeasible_.push_back(static_cast<std::int32_t>(i));
+  } else if (!over && at >= 0) {
+    const std::int32_t last = infeasible_.back();
+    infeasible_[static_cast<std::size_t>(at)] = last;
+    infeasible_at_[static_cast<std::size_t>(last)] = at;
+    infeasible_.pop_back();
+    infeasible_at_[i] = -1;
+  }
 }
 
 void SimplexSolver::rebuild_candidates() {
@@ -448,12 +481,12 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
 
     {
       obs::Region ftran_span(sampled_ring(), obs::span_id(obs::SpanName::Ftran));
-      ftran_entering(q, w);
+      ftran_entering(q, w, wnz);
     }
 
-    // Ratio test: how far can the entering variable move? The scan doubles
-    // as the collection pass for w's nonzero positions, which the bookkeeping
-    // below and the kernel update then iterate instead of all of w.
+    // Ratio test: how far can the entering variable move? Ties go to the
+    // lowest row, so the scan runs over all of w in order and rebuilds w's
+    // nonzero positions in that order on the way.
     double t_best = kInf;
     if (lb_[q] > -kInf && ub_[q] < kInf) t_best = ub_[q] - lb_[q];  // own bound flip
     std::int32_t leave_row = -1;
@@ -702,6 +735,7 @@ SolveStatus SimplexSolver::recover_resolve() {
 SolveStatus SimplexSolver::dual_loop() {
   if (m_ == 0) return solve_primal();
   compute_basic_values();
+  rebuild_infeasible();
 
   std::vector<double>& d = scratch_d_;
   std::vector<double>& w = scratch_w_;
@@ -734,6 +768,7 @@ SolveStatus SimplexSolver::dual_loop() {
     if (const std::optional<RefactorCause> due = refactor_due()) {
       if (!refactorize(*due)) return SolveStatus::NumericalError;
       compute_basic_values();
+      rebuild_infeasible();
       price(pert_cost_, d);
       prices_stale = 0;
     }
@@ -742,12 +777,16 @@ SolveStatus SimplexSolver::dual_loop() {
       prices_stale = 0;
     }
 
-    // Leaving row: largest primal bound violation among basic variables.
+    // Leaving row: largest primal bound violation among basic variables,
+    // the lowest row on ties (what a scan of all rows in order would pick).
     std::int32_t leave_row = -1;
     double worst = opts_.feas_tol;
-    for (std::size_t i = 0; i < m_; ++i) {
-      const double v = bound_violation(basic_[i]);
-      if (v > worst) { worst = v; leave_row = static_cast<std::int32_t>(i); }
+    for (const std::int32_t i : infeasible_) {
+      const double v = bound_violation(basic_[static_cast<std::size_t>(i)]);
+      if (v > worst || (v == worst && i < leave_row)) {
+        worst = v;
+        leave_row = i;
+      }
     }
     if (leave_row < 0) {
       obj_value_ = current_objective(cost_) + obj_constant_;
@@ -798,11 +837,12 @@ SolveStatus SimplexSolver::dual_loop() {
 
     {
       obs::Region ftran_span(sampled_ring(), obs::span_id(obs::SpanName::Ftran));
-      ftran_entering(q, w);
+      ftran_entering(q, w, wnz);
     }
     if (std::abs(w[r]) < opts_.pivot_tol) {
       if (!refactorize(RefactorCause::SmallPivot)) return SolveStatus::NumericalError;
       compute_basic_values();
+      rebuild_infeasible();
       continue;
     }
     if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::NanPivot)) {
@@ -818,10 +858,6 @@ SolveStatus SimplexSolver::dual_loop() {
     if (std::abs(delta) <= kDegenTol) ++reopt_stats_.degen_pivots;
     if (degen_streak > 10 * opts_.bland_threshold) return SolveStatus::NumericalError;
 
-    wnz.clear();
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (w[i] != 0.0) wnz.push_back(static_cast<std::int32_t>(i));
-    }
     xval_[q] += delta;
     if (delta != 0.0) {
       for (const std::int32_t i : wnz) {
@@ -852,6 +888,7 @@ SolveStatus SimplexSolver::dual_loop() {
     basis_pos_[q] = static_cast<std::int32_t>(r);
     status_[q] = ColStatus::Basic;
     update_factors(w, r, wnz);
+    for (const std::int32_t i : wnz) track_infeasible(static_cast<std::size_t>(i));
     ++total_iterations_;
   }
 }

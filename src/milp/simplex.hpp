@@ -211,8 +211,10 @@ class SimplexSolver {
 
   // --- linear algebra (delegating to the basis kernel) ---
   /// w = Binv * A_col for the entering column (dense result, sparse column
-  /// input); the kernel keeps what its next update needs.
-  void ftran_entering(std::int32_t col, std::vector<double>& w);
+  /// input) and `wnz` its nonzero positions, in no particular order; the
+  /// kernel keeps what its next update needs.
+  void ftran_entering(std::int32_t col, std::vector<double>& w,
+                      std::vector<std::int32_t>& wnz);
   /// rho = row r of Binv (B^-T e_r), row-indexed.
   void btran_row(std::size_t r, std::vector<double>& rho) const;
   /// alpha_j = rho * A_j for every column with a nonzero, computed sparsely
@@ -256,6 +258,15 @@ class SimplexSolver {
     cand_idx_[static_cast<std::size_t>(j)] = static_cast<std::int32_t>(cand_.size());
     cand_.push_back(j);
   }
+
+  // --- dual leaving-row bookkeeping ---
+  /// Rebuilds `infeasible_` as the rows whose basic variable violates a
+  /// bound by more than feas_tol. The dual loop calls it after every
+  /// compute_basic_values() and in between re-checks only the rows a pivot
+  /// moved, so choosing the leaving row scans tens of rows instead of all m.
+  void rebuild_infeasible();
+  /// Adds row i to or drops it from `infeasible_` after its value changed.
+  void track_infeasible(std::size_t i);
 
   // --- simplex cores ---
   SolveStatus primal_loop(const std::vector<double>& cost, bool phase_one);
@@ -330,6 +341,8 @@ class SimplexSolver {
   std::vector<std::int32_t> basis_pos_;  ///< row of a basic column, -1 otherwise
   std::vector<std::int32_t> cand_;     ///< nonbasic non-fixed columns (loop-local)
   std::vector<std::int32_t> cand_idx_; ///< index in cand_, -1 when absent
+  std::vector<std::int32_t> infeasible_;     ///< rows over feas_tol (dual loop)
+  std::vector<std::int32_t> infeasible_at_;  ///< index in infeasible_, -1 when absent
   std::unique_ptr<BasisRep> rep_;  ///< basis kernel (sparse LU or dense)
   std::unique_ptr<Pricer> pricer_;
   bool dantzig_pricing_ = true;  ///< devirtualized |d_j| scoring fast path
@@ -348,6 +361,7 @@ class SimplexSolver {
   mutable std::vector<double> scratch_alpha_;
   mutable std::vector<std::int32_t> scratch_alpha_nz_;
   mutable std::vector<double> scratch_rho_;
+  mutable std::vector<std::int32_t> scratch_rho_nz_;  ///< nonzero rows of rho (price_row)
   // price_row first-touch marks (per-call stamps; never reset, 64-bit).
   mutable std::vector<std::int64_t> scratch_mark_;
   mutable std::int64_t mark_stamp_ = 0;

@@ -242,12 +242,24 @@ void run_update_chain(const Model& model, int pivots, unsigned seed, const std::
     const std::size_t q = pick(rng);
     if (is_basic[q] != 0) continue;
     std::fill(ws.begin(), ws.end(), 0.0);
-    for (const ColEntry& e : cols[q]) ws[static_cast<std::size_t>(e.row)] = e.val;
+    wnz.clear();
+    for (const ColEntry& e : cols[q]) {
+      ws[static_cast<std::size_t>(e.row)] = e.val;
+      wnz.push_back(e.row);
+    }
     wd = ws;
     ASSERT_TRUE(dense->factorize(col_start.data(), col_ent.data(), basic)) << what;
-    sparse->ftran_entering(ws);
+    sparse->ftran_entering(ws, wnz);
     dense->ftran(wd);
     expect_vectors_match(ws, wd, what + " entering column");
+    // The kernel lists exactly the nonzero positions of its result.
+    std::vector<std::int32_t> listed = wnz;
+    std::sort(listed.begin(), listed.end());
+    std::vector<std::int32_t> nonzero;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (ws[i] != 0.0) nonzero.push_back(static_cast<std::int32_t>(i));
+    }
+    ASSERT_EQ(listed, nonzero) << what << " entering column's nonzero list";
     // Leaving position: a random one among the pivots that keep the basis
     // well conditioned, so the oracle itself stays exact to ~1e-12.
     double wmax = 0.0;
@@ -258,9 +270,11 @@ void run_update_chain(const Model& model, int pivots, unsigned seed, const std::
     }
     if (ok.empty()) continue;
     const std::size_t r = ok[std::uniform_int_distribution<std::size_t>(0, ok.size() - 1)(rng)];
-    wnz.clear();
-    for (std::size_t i = 0; i < m; ++i) {
-      if (ws[i] != 0.0) wnz.push_back(static_cast<std::int32_t>(i));
+    if (done % 2 == 0) {
+      // As in the simplex, the pivot row's btran comes first: update()
+      // reuses its U^T solve as the row eta. Odd pivots solve their own.
+      std::vector<double> row(m);
+      sparse->btran_unit(r, row);
     }
     sparse->update(ws, r, wnz);
     is_basic[static_cast<std::size_t>(basic[r])] = 0;
